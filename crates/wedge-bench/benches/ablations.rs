@@ -1,4 +1,5 @@
-//! Ablations of WedgeChain's design decisions (DESIGN.md §6).
+//! Ablations of WedgeChain's design decisions: each run switches one
+//! mechanism off and measures what it was buying.
 //!
 //! 1. **Data-free certification** (§IV-B): digests vs full blocks on
 //!    the edge→cloud path — WAN bytes and Phase-II latency.

@@ -4,9 +4,8 @@
 //! of key-range growth, because communication and verification (tens
 //! of ms) dwarf per-operation storage I/O (sub-ms). We reproduce it by
 //! scaling the cost model's I/O term with the configured key count
-//! (a log-factor probe cost; see `CostModel::io_probe` and DESIGN.md
-//! §2 for the substitution note — 100 M resident keys are simulated,
-//! not materialized).
+//! (a log-factor probe cost; see `CostModel::io_probe` — 100 M
+//! resident keys are simulated, not materialized).
 
 // Bench targets print their tables to stdout by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]

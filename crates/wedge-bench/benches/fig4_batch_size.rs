@@ -52,7 +52,7 @@ fn main() {
     }
 
     // Shape checks (reported, not asserted, so the bench always
-    // completes and EXPERIMENTS.md can cite the outcome).
+    // completes; `shape_check` gates them on the JSON artifact).
     let first = &rows.first().unwrap().1;
     let last = &rows.last().unwrap().1;
     let wc_gain = last[0].agg.throughput_kops / first[0].agg.throughput_kops;

@@ -4,6 +4,10 @@
 //! throughput (data-free certification hashes each block once),
 //! Schnorr sign/verify (every receipt and proof), and Merkle
 //! build/prove/verify (every LSMerkle level and read proof).
+//!
+//! `sha256_64b` is the yardstick for the host-independent gate in
+//! `shape_check`: sign and verify are judged as multiples of one
+//! two-block hash on the same machine, not in absolute time.
 
 // Bench targets print their tables to stdout by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -40,11 +44,13 @@ fn bench_sha256() {
 
 fn bench_schnorr() {
     println!("\n-- schnorr --");
+    let block = [0xABu8; 64];
+    bench_fn("sha256_64b", 400, || black_box(sha256(black_box(&block))));
     let kp = Keypair::from_seed(b"bench");
     let msg = vec![0x42u8; 256];
     let sig = kp.sign(&msg);
-    bench_fn("schnorr_sign_256b", 40, || black_box(kp.sign(black_box(&msg))));
-    bench_fn("schnorr_verify_256b", 40, || {
+    bench_fn("schnorr_sign_256b", 100, || black_box(kp.sign(black_box(&msg))));
+    bench_fn("schnorr_verify_256b", 100, || {
         black_box(kp.public().verify(black_box(&msg), black_box(&sig)))
     });
 }

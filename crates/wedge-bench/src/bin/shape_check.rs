@@ -31,10 +31,12 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 /// Parsed artifact: bench name plus `name -> mean_ns` (all compaction
-/// and wire-size metrics are exact counts, so mean == median == min).
+/// and wire-size metrics are exact counts, so mean == median == min)
+/// and `name -> median_ns` for the timed rows.
 struct Artifact {
     bench: String,
     metrics: BTreeMap<String, u64>,
+    medians: BTreeMap<String, u64>,
 }
 
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -49,6 +51,7 @@ fn parse(path: &str) -> Result<Artifact, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut bench = None;
     let mut metrics = BTreeMap::new();
+    let mut medians = BTreeMap::new();
     for line in text.lines() {
         if bench.is_none() {
             if let Some(b) = field(line, "bench") {
@@ -60,13 +63,16 @@ fn parse(path: &str) -> Result<Artifact, String> {
             let mean: u64 =
                 mean.parse().map_err(|_| format!("{path}: non-integer mean_ns in {name}"))?;
             metrics.insert(name.to_string(), mean);
+            if let Some(median) = field(line, "median_ns").and_then(|m| m.parse().ok()) {
+                medians.insert(name.to_string(), median);
+            }
         }
     }
     let bench = bench.ok_or(format!("{path}: no \"bench\" field"))?;
     if metrics.is_empty() {
         return Err(format!("{path}: no results"));
     }
-    Ok(Artifact { bench, metrics })
+    Ok(Artifact { bench, metrics, medians })
 }
 
 /// One failed expectation, formatted for the CI log.
@@ -78,6 +84,34 @@ fn require(a: &Artifact, key: &str, failures: &mut Vec<Failure>) -> u64 {
         None => {
             failures.push(format!("missing metric: {key}"));
             0
+        }
+    }
+}
+
+fn require_median(a: &Artifact, key: &str, failures: &mut Vec<Failure>) -> u64 {
+    match a.medians.get(key) {
+        Some(v) => *v,
+        None => {
+            failures.push(format!("missing median: {key}"));
+            0
+        }
+    }
+}
+
+/// Sign and verify as multiples of one 64-byte SHA-256 on the same
+/// host, so the bar holds on any machine. With double-and-add field
+/// arithmetic sign measured ~300x and verify ~680x; the bar sits a
+/// few times above what the pseudo-Mersenne fold reaches (~10x).
+fn check_micro_crypto(a: &Artifact, failures: &mut Vec<Failure>) {
+    const MAX_SHA_MULTIPLE: u64 = 64;
+    let sha = require_median(a, "sha256_64b", failures).max(1);
+    for op in ["schnorr_sign_256b", "schnorr_verify_256b"] {
+        let ns = require_median(a, op, failures);
+        if ns > MAX_SHA_MULTIPLE * sha {
+            failures.push(format!(
+                "{op}: median {ns} ns is {:.0}x sha256_64b ({sha} ns), above the {MAX_SHA_MULTIPLE}x bar",
+                ns as f64 / sha as f64
+            ));
         }
     }
 }
@@ -446,6 +480,7 @@ fn main() -> ExitCode {
         let mut failures = Vec::new();
         match artifact.bench.as_str() {
             "compaction_decay" => check_compaction_decay(&artifact, &mut failures),
+            "micro_crypto" => check_micro_crypto(&artifact, &mut failures),
             "merge_cpu_parallel" => check_merge_cpu_parallel(&artifact, &mut failures),
             "merge_reply_bytes" => check_merge_reply_bytes(&artifact, &mut failures),
             "merge_request_bytes" => check_merge_request_bytes(&artifact, &mut failures),

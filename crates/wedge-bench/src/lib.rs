@@ -4,9 +4,10 @@
 //! sweeps the paper's parameters, runs the three systems on the
 //! deterministic simulator, and prints the same rows/series the paper
 //! plots. Absolute numbers depend on the calibrated cost model
-//! (DESIGN.md §2); the *shape* — who wins, by what factor, where the
-//! crossovers are — is the reproduction target recorded in
-//! EXPERIMENTS.md.
+//! (`wedge_core::cost::CostModel`, which models the paper's hardware,
+//! not this code); the *shape* — who wins, by what factor, where the
+//! crossovers are — is the reproduction target, and `shape_check`
+//! gates it on each bench's JSON artifact.
 
 #![forbid(unsafe_code)]
 // Bench reporting prints by design: stdout is the table the paper

@@ -5,8 +5,9 @@
 //! exactly as it does on the paper's m5d.xlarge machines. The constants
 //! below are calibrated so the three systems land near the paper's
 //! headline numbers (Fig 4a: WedgeChain ~15–20 ms, Cloud-only
-//! ~78–83 ms, Edge-baseline ~109–213 ms); DESIGN.md §2 explains why
-//! matching the *shape* is the goal.
+//! ~78–83 ms, Edge-baseline ~109–213 ms). Matching the *shape* is the
+//! goal: a simulator cannot reproduce the testbed's absolute numbers,
+//! but it can reproduce who wins and by what factor.
 //!
 //! All costs are in nanoseconds of virtual time.
 

@@ -12,8 +12,10 @@
 //!   nonces.
 //! - [`schnorr`]: Schnorr signatures over a 127-bit safe-prime group.
 //!   Structurally identical to the production signatures the paper
-//!   assumes (sign with secret, verify with public); see DESIGN.md §2
-//!   for the strength caveat.
+//!   assumes (sign with secret, verify with public), but far weaker:
+//!   a 127-bit group is not production strength.
+//! - [`modmath`]: multiply, power and joint power modulo the group's
+//!   two pseudo-Mersenne primes.
 //! - [`merkle`]: domain-separated Merkle trees with inclusion proofs
 //!   and the LSMerkle *global root* combinator.
 //! - [`keys`]: identities and a revocation-aware key registry — the

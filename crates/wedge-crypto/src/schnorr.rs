@@ -12,7 +12,7 @@
 //! with a secret scalar, verify with a public group element, no shared
 //! secrets — which is what the reproduction needs: the protocol's code
 //! paths, message sizes and relative costs are exercised faithfully.
-//! See DESIGN.md §2 for the substitution rationale.
+//! The README's crypto section records what the substitution costs.
 //!
 //! Nonces are derived deterministically (RFC 6979-style) via
 //! HMAC-SHA256 of the secret key and message, so signing never needs an
@@ -20,14 +20,14 @@
 
 use crate::digest::Digest;
 use crate::hmac::hmac_sha256;
-use crate::modmath::{addmod, modpow, mulmod, submod};
+use crate::modmath::{MOD_P, MOD_Q};
 use crate::sha256::sha256_concat;
 use std::fmt;
 
-/// The 127-bit safe prime `p = 2q + 1`.
-pub const P: u128 = 0x4000_0000_0000_0000_0000_0000_0000_0337;
-/// The 126-bit prime subgroup order `q = (p - 1) / 2`.
-pub const Q: u128 = 0x2000_0000_0000_0000_0000_0000_0000_019b;
+/// The 127-bit safe prime `p = 2q + 1 = 2^126 + 0x337`.
+pub const P: u128 = MOD_P.value();
+/// The 126-bit prime subgroup order `q = (p - 1) / 2 = 2^125 + 0x19b`.
+pub const Q: u128 = MOD_Q.value();
 /// Generator of the order-`q` subgroup (a quadratic residue mod `p`).
 pub const G: u128 = 4;
 
@@ -66,7 +66,7 @@ impl Keypair {
         let d = sha256_concat(&[b"wedge-keygen-v1", seed]);
         // Reduce into [1, q). The 2^-126 bias is irrelevant here.
         let x = d.to_u128() % (Q - 1) + 1;
-        let y = modpow(G, x, P);
+        let y = MOD_P.pow(G, x);
         Keypair { secret: SecretKey { x }, public: PublicKey { y } }
     }
 
@@ -80,10 +80,10 @@ impl Keypair {
         // k = HMAC(x, m) reduced into [1, q): unique per (key, message).
         let k_digest = hmac_sha256(&self.secret.x.to_be_bytes(), message);
         let k = k_digest.to_u128() % (Q - 1) + 1;
-        let r = modpow(G, k, P);
+        let r = MOD_P.pow(G, k);
         let e = challenge(r, message);
         // s = k + x·e mod q
-        let s = addmod(k, mulmod(self.secret.x, e, Q), Q);
+        let s = MOD_Q.add(k, MOD_Q.mul(self.secret.x, e));
         Signature { e, s }
     }
 }
@@ -93,7 +93,8 @@ impl PublicKey {
     ///
     /// Recomputes `r_v = g^s · y^{-e} mod p` and accepts iff the
     /// challenge hash of `r_v` matches `e`. `y^{-e}` is computed as
-    /// `y^{q-e}` since `y` has order `q`.
+    /// `y^{q-e}` since `y` has order `q`, and both powers share one
+    /// squaring chain ([`crate::modmath::Modulus::pow2`]).
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
         if sig.e >= Q || sig.s >= Q {
             return false;
@@ -101,9 +102,7 @@ impl PublicKey {
         if self.y == 0 || self.y == 1 || self.y >= P {
             return false;
         }
-        let g_s = modpow(G, sig.s, P);
-        let y_inv_e = modpow(self.y, submod(0, sig.e % Q, Q), P);
-        let r_v = mulmod(g_s, y_inv_e, P);
+        let r_v = MOD_P.pow2(G, sig.s, self.y, MOD_Q.sub(0, sig.e));
         challenge(r_v, message) == sig.e
     }
 
@@ -171,8 +170,8 @@ mod tests {
     fn group_parameters_are_consistent() {
         assert_eq!(P, 2 * Q + 1);
         // g generates the order-q subgroup: g^q == 1, g != 1.
-        assert_eq!(modpow(G, Q, P), 1);
-        assert_ne!(modpow(G, 1, P), 1);
+        assert_eq!(MOD_P.pow(G, Q), 1);
+        assert_ne!(MOD_P.pow(G, 1), 1);
     }
 
     #[test]
@@ -202,10 +201,10 @@ mod tests {
     fn tampered_signature_rejected() {
         let kp = Keypair::from_seed(b"node");
         let mut sig = kp.sign(b"msg");
-        sig.s = addmod(sig.s, 1, Q);
+        sig.s = MOD_Q.add(sig.s, 1);
         assert!(!kp.public().verify(b"msg", &sig));
         let mut sig2 = kp.sign(b"msg");
-        sig2.e = addmod(sig2.e, 1, Q);
+        sig2.e = MOD_Q.add(sig2.e, 1);
         assert!(!kp.public().verify(b"msg", &sig2));
     }
 

@@ -5,11 +5,9 @@
 //! generated cases — same coverage intent, fully reproducible.
 
 use wedge_crypto::merkle::MerkleTree;
-use wedge_crypto::modmath::{addmod, invmod, modpow, mulmod, submod};
+use wedge_crypto::modmath::{MOD_P, MOD_Q};
 use wedge_crypto::schnorr::{Keypair, Q};
 use wedge_crypto::sha256::{sha256, Sha256};
-
-const P127: u128 = wedge_crypto::schnorr::P;
 
 /// Minimal SplitMix64 case generator (test-local; the simulator has
 /// its own copy — crypto stays dependency-free).
@@ -83,19 +81,19 @@ fn sha256_injective_in_practice() {
 fn modmath_field_axioms() {
     for case in 0..64u64 {
         let mut rng = Rng::new(0xF1E1D ^ case);
-        let a = rng.below_u128(P127);
-        let b = rng.below_u128(P127);
-        let c = rng.below_u128(P127);
-        // Commutativity and associativity of mulmod.
-        assert_eq!(mulmod(a, b, P127), mulmod(b, a, P127));
-        assert_eq!(mulmod(mulmod(a, b, P127), c, P127), mulmod(a, mulmod(b, c, P127), P127));
-        // Distributivity.
-        assert_eq!(
-            mulmod(a, addmod(b, c, P127), P127),
-            addmod(mulmod(a, b, P127), mulmod(a, c, P127), P127)
-        );
-        // add/sub inverse.
-        assert_eq!(submod(addmod(a, b, P127), b, P127), a);
+        for f in [MOD_P, MOD_Q] {
+            let m = f.value();
+            let a = rng.below_u128(m);
+            let b = rng.below_u128(m);
+            let c = rng.below_u128(m);
+            // Commutativity and associativity of mul.
+            assert_eq!(f.mul(a, b), f.mul(b, a));
+            assert_eq!(f.mul(f.mul(a, b), c), f.mul(a, f.mul(b, c)));
+            // Distributivity.
+            assert_eq!(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)));
+            // add/sub inverse.
+            assert_eq!(f.sub(f.add(a, b), b), a);
+        }
     }
 }
 
@@ -103,8 +101,12 @@ fn modmath_field_axioms() {
 fn modmath_inverses() {
     for case in 0..64u64 {
         let mut rng = Rng::new(0x1479 ^ case);
-        let a = 1 + rng.below_u128(P127 - 1);
-        assert_eq!(mulmod(a, invmod(a, P127), P127), 1, "a = {a}");
+        for f in [MOD_P, MOD_Q] {
+            let m = f.value();
+            let a = 1 + rng.below_u128(m - 1);
+            // Fermat inverse a^(m-2).
+            assert_eq!(f.mul(a, f.pow(a, m - 2)), 1, "a = {a}");
+        }
     }
 }
 
@@ -115,8 +117,8 @@ fn modpow_exponent_addition() {
         let a = rng.below_u128(Q);
         let b = rng.below_u128(Q);
         let g = wedge_crypto::schnorr::G;
-        let lhs = modpow(g, addmod(a, b, Q), P127);
-        let rhs = mulmod(modpow(g, a, P127), modpow(g, b, P127), P127);
+        let lhs = MOD_P.pow(g, MOD_Q.add(a, b));
+        let rhs = MOD_P.mul(MOD_P.pow(g, a), MOD_P.pow(g, b));
         assert_eq!(lhs, rhs, "a = {a}, b = {b}");
     }
 }

@@ -1,7 +1,8 @@
 //! # wedge-sim
 //!
 //! A deterministic discrete-event simulator standing in for the paper's
-//! AWS testbed (DESIGN.md §2). It provides:
+//! AWS testbed: the same protocol code, with the WAN and the machines'
+//! processing replaced by a calibrated model. It provides:
 //!
 //! - [`time`]: virtual nanosecond clock ([`SimTime`], [`SimDuration`]).
 //! - [`net`]: the five-region network model with the paper's Table I
