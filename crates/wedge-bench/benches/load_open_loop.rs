@@ -1,5 +1,5 @@
-//! Open-loop load harness over the two real-time runtimes
-//! (`ThreadedCluster` and `NetCluster`), plus an allocation audit of
+//! Open-loop load harness over the real-time cluster on both links
+//! (`ThreadedCluster` in process, `NetCluster` over TCP), plus an allocation audit of
 //! the encode path (ROADMAP open item 5, load-harness half).
 //!
 //! Unlike the closed-loop figure benches, arrivals here follow a
@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wedge_bench::{banner, record_ns, record_x1000, write_json};
+use wedge_core::driver::{Cluster, Link};
 use wedge_core::messages::WireMsg;
 use wedge_core::threaded::{ThreadedCluster, ThreadedConfig};
 use wedge_crypto::Identity;
@@ -136,36 +137,6 @@ fn bench_encode_allocs() {
 
 // --- the open-loop harness ----------------------------------------------
 
-/// The operations the load harness drives, implemented by both
-/// real-time runtimes.
-trait LoadTarget: Send + Sync + 'static {
-    fn do_put(&self, edge: usize, key: u64, value: Vec<u8>);
-    fn do_get(&self, edge: usize, key: u64);
-}
-
-impl LoadTarget for ThreadedCluster {
-    fn do_put(&self, edge: usize, key: u64, value: Vec<u8>) {
-        // batch_size 1: every put seals and returns its Phase-I reply.
-        let reply = self.put_on(edge, key, value);
-        assert!(reply.is_some(), "batch_size 1 always replies");
-    }
-
-    fn do_get(&self, edge: usize, key: u64) {
-        self.get_on(edge, key).expect("verified read");
-    }
-}
-
-impl LoadTarget for NetCluster {
-    fn do_put(&self, edge: usize, key: u64, value: Vec<u8>) {
-        let reply = self.put_on(edge, key, value);
-        assert!(reply.is_some(), "batch_size 1 always replies");
-    }
-
-    fn do_get(&self, edge: usize, key: u64) {
-        self.get_on(edge, key).expect("verified read");
-    }
-}
-
 /// Latency samples (ns, from scheduled arrival to completion) split
 /// by operation type, plus the wall-clock the run took.
 struct LoadResult {
@@ -184,8 +155,9 @@ fn pctl(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn run_load<T: LoadTarget>(
-    cluster: &Arc<T>,
+/// Drives the open-loop schedule against a cluster on either link.
+fn run_load<L: Link>(
+    cluster: &Arc<Cluster<L>>,
     partitions: usize,
     total_ops: u64,
     rate_per_s: u64,
@@ -222,10 +194,12 @@ fn run_load<T: LoadTarget>(
                         let key =
                             if i % 2 == 0 { zipf.sample(&mut rng) } else { unif.sample(&mut rng) };
                         if i % 5 == 4 {
-                            cluster.do_get(edge, key);
+                            cluster.get_on(edge, key).expect("verified read");
                             get_ns.push(due.elapsed().as_nanos() as u64);
                         } else {
-                            cluster.do_put(edge, key, vec![(key % 251) as u8; 64]);
+                            // batch_size 1: every put seals and replies.
+                            let reply = cluster.put_on(edge, key, vec![(key % 251) as u8; 64]);
+                            assert!(reply.is_some(), "batch_size 1 always replies");
                             put_ns.push(due.elapsed().as_nanos() as u64);
                         }
                     }

@@ -115,7 +115,8 @@ fn sweep_point(target_records: u64) -> (u64, u64, u64, u64) {
     };
     let res2 = s.index.process_merge(&s.cloud, &s.ledger, &req2, 0).expect("measured merge");
 
-    let full_bytes = WireMsg::MergeRes(Box::new(res2.clone())).encode_payload().len() as u64;
+    // The full reply's payload, as the retired tag 12 carried it.
+    let full_bytes = res2.encoded_len() as u64;
     let delta = DeltaMergeResult::delta_against(&res2, &req2);
     let (reused, full_pages) = (delta.reused_pages(), delta.full_pages());
     let delta_bytes = WireMsg::MergeResDelta(Box::new(delta)).encode_frame().len() as u64;

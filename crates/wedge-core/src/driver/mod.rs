@@ -1,19 +1,35 @@
-//! Transport-independent driver scaffolding shared by the runtime
-//! drivers (the threaded runtime here in `wedge-core`, the socket
-//! runtime in `wedge-net`).
+//! The real-time driver: one cluster of service threads around the
+//! sans-IO engines, generic over the [`Link`] that carries messages
+//! between them.
 //!
-//! A runtime driver has two halves: a *transport* (channels, sockets —
-//! different per runtime) and a *completion router* that correlates
-//! engine events back to in-process callers (identical per runtime).
-//! This module owns the identical half, so a fix to completion routing
-//! lands once:
+//! [`Cluster`] owns everything that does not depend on how a message
+//! travels: the config and the report, the three bounded-inbox service
+//! loops (edge, cloud, client), the caller API (`put_on`, `get_on`, …)
+//! and the one cloud→edge backpressure policy. A link only queues a
+//! [`WireMsg`](crate::messages::WireMsg) toward its peer and flushes.
+//! Two links exist:
 //!
-//! - [`ClientCompletions`] — caller-reply bookkeeping around a
+//! - [`MemLink`] (here): moves the message into the peer's inbox
+//!   without encoding it — `wedge_core::threaded::ThreadedCluster`;
+//! - `wedge_net::TcpLink`: frames the message onto a loopback socket
+//!   — `wedge_net::NetCluster`.
+//!
+//! This module also holds the service loops' helpers:
+//!
+//! - `ClientCompletions` — caller-reply bookkeeping around a
 //!   [`ClientEngine`]: queued batches draining into pipeline slots,
 //!   Phase-I/Phase-II/read completion channels, dispute verdicts;
-//! - [`recv_until`] / [`elapsed_ns`] — the deadline-into-receive-
-//!   timeout discipline every service loop uses to consume
+//! - `PutBatcher` — caller-side batching per partition;
+//! - `recv_until` / `elapsed_ns` — the deadline-into-receive-timeout
+//!   discipline every service loop uses to consume
 //!   `next_deadline_ns()`.
+
+mod cluster;
+mod gate;
+mod link;
+
+pub use cluster::{Cluster, ClusterConfig, ClusterReport, EdgeRunReport, PutShed};
+pub use link::{Endpoint, Link, LinkStats, MemLink, Sink};
 
 use crate::engine::{ClientCommand, ClientEffect, ClientEngine, ClientEvent, GetOutcome};
 use crate::messages::{AddReceipt, DisputeVerdict, WireMsg};
@@ -38,12 +54,12 @@ pub struct PutReply {
 }
 
 /// Nanoseconds since the runtime's epoch (its wall-clock zero).
-pub fn elapsed_ns(epoch: Instant) -> u64 {
+fn elapsed_ns(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
 /// What one service-inbox wait produced.
-pub enum Inbox<T> {
+enum Inbox<T> {
     /// A message arrived.
     Msg(T),
     /// The engine's deadline passed first: time to `Tick`.
@@ -54,7 +70,7 @@ pub enum Inbox<T> {
 
 /// Blocks on a service inbox until a message arrives, the engine's
 /// deadline passes, or the channel disconnects.
-pub fn recv_until<T>(rx: &Receiver<T>, deadline_ns: Option<u64>, epoch: Instant) -> Inbox<T> {
+fn recv_until<T>(rx: &Receiver<T>, deadline_ns: Option<u64>, epoch: Instant) -> Inbox<T> {
     match deadline_ns {
         Some(d) => {
             let timeout = Duration::from_nanos(d.saturating_sub(elapsed_ns(epoch)));
@@ -76,7 +92,7 @@ pub fn recv_until<T>(rx: &Receiver<T>, deadline_ns: Option<u64>, epoch: Instant)
 /// blocks on the Phase-I reply. Shared by every driver so the
 /// batching/submission semantics (and the failure contract of the
 /// reply channel) stay identical across transports.
-pub struct PutBatcher {
+struct PutBatcher {
     batchers: Vec<std::sync::Mutex<PutOps>>,
     batch_size: usize,
 }
@@ -153,7 +169,7 @@ impl PutBatcher {
 /// [`run`]: ClientCompletions::run
 /// [`pump_puts`]: ClientCompletions::pump_puts
 #[derive(Default)]
-pub struct ClientCompletions {
+struct ClientCompletions {
     next_token: u64,
     /// Caller-submitted batches not yet handed to the engine; drains
     /// eagerly into every free pipeline slot.
@@ -266,3 +282,7 @@ impl ClientCompletions {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "../../tests/scenarios/mod.rs"]
+pub(crate) mod scenarios;

@@ -98,8 +98,9 @@ pub enum EdgeCommand<C> {
     },
     /// The cloud certified one of our blocks.
     BlockProof(BlockProof),
-    /// The cloud answered a merge request in full (legacy wire tag;
-    /// in-process tests still use it).
+    /// The cloud answered a merge request in full. No wire message
+    /// carries this (tag 12 is retired); engine tests drive it
+    /// directly.
     MergeResult(Box<MergeResult>),
     /// The cloud answered a merge request delta-encoded against it;
     /// the engine resolves references via its in-flight request.
@@ -142,7 +143,6 @@ impl<C> EdgeCommand<C> {
             WireMsg::LogRead { bid } => EdgeCommand::LogRead { from, bid },
             WireMsg::Get { req_id, key } => EdgeCommand::Get { from, req_id, key },
             WireMsg::BlockProofMsg(proof) => EdgeCommand::BlockProof(proof),
-            WireMsg::MergeRes(result) => EdgeCommand::MergeResult(result),
             WireMsg::MergeResDelta(delta) => EdgeCommand::MergeResultDelta(delta),
             WireMsg::MergeReqResend { edge, source_level, epoch } => {
                 EdgeCommand::MergeReqResend { edge, source_level, epoch }

@@ -19,10 +19,17 @@
 //! - [`harness`]: one-call deployment builder
 //!   ([`harness::SystemHarness`]) used by examples, tests and benches.
 //! - [`cost`]: the calibrated CPU cost model; [`config`]: deployment
-//!   knobs; [`metrics`]: latency/timeline collection; [`threaded`]: a
-//!   real-threads driver over the same engines.
+//!   knobs; [`metrics`]: latency/timeline collection.
+//! - [`driver`]: the real-time cluster — service threads around the
+//!   same engines, generic over the link between them;
+//!   [`threaded`] names it over the in-process link.
 
 #![forbid(unsafe_code)]
+
+// Lets the driver's scenario suite name this crate `wedge_core`, the
+// same path it uses when `wedge-net` includes it.
+#[cfg(test)]
+extern crate self as wedge_core;
 
 pub mod client;
 pub mod cloud;

@@ -28,7 +28,6 @@ use wedge_log::{
 };
 use wedge_lsmerkle::{
     DeltaMergeRequest, DeltaMergeResult, GlobalRootCert, IndexReadProof, Key, MergeRequest,
-    MergeResult,
 };
 
 /// A signed edge statement: "entry set `entries_digest` from `client`
@@ -346,6 +345,15 @@ impl DisputeVerdict {
     }
 }
 
+/// Envelope tags no peer sends any more, with the variant name each one
+/// carried. A retired tag decodes as an unknown kind, and neither its
+/// number nor its name is ever reused; `wedge-lint` holds
+/// `WIRE_ABI.lock`'s `[retired]` section to this list.
+///
+/// - 12 `MergeRes`: the full merge reply, replaced by the
+///   delta-encoded [`WireMsg::MergeResDelta`] (tag 18).
+pub const RETIRED_WIRE_TAGS: [(u8, &str); 1] = [(12, "MergeRes")];
+
 /// The codable WedgeChain protocol: every message that crosses a node
 /// boundary, and nothing else.
 ///
@@ -418,8 +426,6 @@ pub enum WireMsg {
     // ---- cloud → edge ----
     /// Certification success.
     BlockProofMsg(BlockProof),
-    /// Merge reply.
-    MergeRes(Box<MergeResult>),
     /// Certification refused: equivocation detected.
     CertRejected {
         /// The offending block id.
@@ -437,9 +443,8 @@ pub enum WireMsg {
     /// Merge reply, delta-encoded against the originating request:
     /// pages the edge already holds travel as references, so the reply
     /// scales with the *changed* pages of a merge rather than the
-    /// target level's size. This is what the cloud actually sends;
-    /// [`WireMsg::MergeRes`] (tag 12) remains decodable for wire-ABI
-    /// compatibility.
+    /// target level's size. The only merge reply on the wire: the
+    /// full reply's tag 12 is retired (see [`RETIRED_WIRE_TAGS`]).
     MergeResDelta(Box<DeltaMergeResult>),
     /// Merge request, delta-encoded against the pages the cloud
     /// retains from its own last replies: pages the cloud already
@@ -485,7 +490,6 @@ impl WireMsg {
             WireMsg::BlockCertify { .. } => "BlockCertify",
             WireMsg::MergeReq(_) => "MergeReq",
             WireMsg::BlockProofMsg(_) => "BlockProofMsg",
-            WireMsg::MergeRes(_) => "MergeRes",
             WireMsg::CertRejected { .. } => "CertRejected",
             WireMsg::GlobalRefresh(_) => "GlobalRefresh",
             WireMsg::DisputeMsg(_) => "DisputeMsg",
@@ -516,7 +520,6 @@ impl WireMsg {
             WireMsg::GossipForward(_) | WireMsg::Gossip(_) => GossipWatermark::WIRE_SIZE,
             WireMsg::BlockCertify { .. } => 8 + 32 + 32,
             WireMsg::MergeReq(r) => r.wire_size(),
-            WireMsg::MergeRes(r) => r.wire_size(),
             WireMsg::MergeResDelta(d) => d.wire_size(),
             WireMsg::MergeReqDelta(d) => d.wire_size(),
             WireMsg::MergeReqResend { .. } => 24,
@@ -528,7 +531,8 @@ impl WireMsg {
     }
 
     /// The envelope type tag for this variant. Tags are wire ABI:
-    /// never renumber, only append.
+    /// never renumber, only append; a tag leaves this list only into
+    /// [`RETIRED_WIRE_TAGS`].
     pub fn kind(&self) -> u8 {
         match self {
             WireMsg::BatchAdd { .. } => 1,
@@ -542,7 +546,6 @@ impl WireMsg {
             WireMsg::BlockCertify { .. } => 9,
             WireMsg::MergeReq(_) => 10,
             WireMsg::BlockProofMsg(_) => 11,
-            WireMsg::MergeRes(_) => 12,
             WireMsg::CertRejected { .. } => 13,
             WireMsg::GlobalRefresh(_) => 14,
             WireMsg::DisputeMsg(_) => 15,
@@ -579,7 +582,6 @@ impl WireMsg {
             WireMsg::GossipForward(_) | WireMsg::Gossip(_) => GossipWatermark::ENCODED_LEN,
             WireMsg::BlockCertify { .. } => 8 + 32 + 32,
             WireMsg::MergeReq(r) => r.encoded_len(),
-            WireMsg::MergeRes(r) => r.encoded_len(),
             WireMsg::MergeResDelta(d) => d.encoded_len(),
             WireMsg::MergeReqDelta(d) => d.encoded_len(),
             WireMsg::MergeReqResend { .. } => 8 + 4 + 8,
@@ -644,7 +646,6 @@ impl WireMsg {
                 enc.put_u64(bid.0).put_digest(digest).put_signature(signature);
             }
             WireMsg::MergeReq(r) => r.encode_into(enc),
-            WireMsg::MergeRes(r) => r.encode_into(enc),
             WireMsg::MergeResDelta(d) => d.encode_into(enc),
             WireMsg::MergeReqDelta(d) => d.encode_into(enc),
             WireMsg::MergeReqResend { edge, source_level, epoch } => {
@@ -699,7 +700,6 @@ impl WireMsg {
             },
             10 => WireMsg::MergeReq(Box::new(MergeRequest::decode_from(&mut dec)?)),
             11 => WireMsg::BlockProofMsg(BlockProof::decode_from(&mut dec)?),
-            12 => WireMsg::MergeRes(Box::new(MergeResult::decode_from(&mut dec)?)),
             13 => WireMsg::CertRejected { bid: BlockId(dec.get_u64()?) },
             14 => WireMsg::GlobalRefresh(GlobalRootCert::decode_from(&mut dec)?),
             15 => WireMsg::DisputeMsg(Box::new(Dispute::decode_from(&mut dec)?)),

@@ -1,1206 +1,105 @@
-//! A real-threads runtime for WedgeChain's data path.
+//! The in-process real-threads runtime: [`crate::driver::Cluster`]
+//! over [`MemLink`].
 //!
-//! The simulator is the measurement substrate; this module is the
-//! proof that the *same protocol engines*
-//! ([`crate::engine::EdgeEngine`], [`crate::engine::CloudEngine`],
-//! [`crate::engine::ClientEngine`]) run on actual concurrency
-//! primitives. An N-edge cluster mirrors the simulator's
-//! `MultiPartitionHarness` topology: one service thread per edge, one
-//! per partition client, and one cloud thread, exchanging messages
-//! over `std::sync::mpsc` channels with all cryptography real.
-//!
-//! The threads contain no protocol logic *and no protocol clocks* —
-//! they translate inbound channel messages into engine commands, map
-//! engine effects back onto channels, and turn each engine's
-//! `next_deadline_ns()` into a `recv_timeout` bound, issuing `Tick`
-//! once the deadline passes. Gossip cadence, certification retries,
-//! and dispute timeouts therefore behave identically here and in the
-//! simulator, which is what the differential test checks.
-//!
-//! Backpressure is explicit: every edge-bound and cloud-bound channel
-//! is bounded. Edges and clients block when the cloud lags (natural
-//! upstream backpressure); the cloud never blocks toward an edge —
-//! it `try_send`s, *sheds* droppable traffic (gossip and freshness
-//! refreshes, which the next round re-issues) and *defers* critical
-//! traffic (proofs, merge results), counting both in
-//! [`ThreadedReport`] so overload behaviour is measurable.
+//! The simulator is the measurement substrate; this runtime is the
+//! proof that the *same protocol engines* run on actual concurrency
+//! primitives. Every service is a thread with a bounded inbox, exactly
+//! as over TCP (`wedge_net::NetCluster` is the same cluster over the
+//! socket link); here a message moves into the peer's inbox as a value,
+//! never encoded. The cluster, its config, its report and its one
+//! cloud→edge backpressure policy live in [`crate::driver`]; this
+//! module keeps the names callers know.
 
-use crate::config::CryptoMode;
-use crate::cost::CostModel;
-use crate::driver::{elapsed_ns, recv_until, ClientCompletions, Inbox, PutBatcher};
-use crate::engine::{
-    ClientCommand, ClientEngine, ClientPlan, CloudCommand, CloudEffect, CloudEngine, CloudStats,
-    EdgeCommand, EdgeEffect, EdgeEngine, EdgeStats, GetOutcome,
-};
-use crate::fault::FaultPlan;
-use crate::harness::client_workload_seed;
-use crate::messages::{DisputeVerdict, WireMsg};
-use crate::metrics::ClientMetrics;
-use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-use wedge_crypto::{Digest, Identity, IdentityId, KeyRegistry};
-use wedge_log::BlockId;
-use wedge_lsmerkle::{
-    CloudIndex, CompactionStats, LsMerkle, LsmConfig, ProofError, ShardedReadProofCache,
-};
+use crate::driver::{Cluster, ClusterConfig, ClusterReport};
+pub use crate::driver::{EdgeRunReport, MemLink, PutOps, PutReply, PutShed};
 
-/// Configuration for the threaded runtime.
-#[derive(Clone, Debug)]
-pub struct ThreadedConfig {
-    /// LSMerkle shape.
-    pub lsm: LsmConfig,
-    /// Number of edge partitions (each with one service thread, one
-    /// client thread, and one client-side batcher).
-    pub num_edges: usize,
-    /// Operations per sealed block (client-side batching).
-    pub batch_size: usize,
-    /// Injected one-way latency for each hop into the cloud.
-    pub cloud_hop_latency: Duration,
-    /// Injected processing latency per cloud→edge message at the edge
-    /// (slows the edge's drain rate; used to exercise backpressure).
-    pub edge_apply_latency: Duration,
-    /// Scripted `sealed_at_ns` per edge, in seal order. When present,
-    /// edge `p`'s block `i` seals at `seal_times[p][i]` instead of the
-    /// wall clock — this makes block digests reproducible and
-    /// comparable across runtimes (the differential test replays the
-    /// simulator's seal times here). Falls back to the wall clock when
-    /// exhausted.
-    pub seal_times: Option<Vec<Vec<u64>>>,
-    /// Scripted misbehaviour per edge (missing entries are honest).
-    pub faults: Vec<FaultPlan>,
-    /// Cloud gossip cadence; `None` disables gossip. Engine-owned: the
-    /// cloud thread only relays the deadline into `recv_timeout`.
-    pub gossip_period: Option<Duration>,
-    /// How long a client waits for Phase II before disputing.
-    /// Engine-owned, like gossip.
-    pub dispute_timeout: Duration,
-    /// Edge certification retry interval; `None` disables retries.
-    pub cert_retry: Option<Duration>,
-    /// Client read-freshness window (§V-D); `None` disables the check.
-    pub freshness_window: Option<Duration>,
-    /// How many put batches each client keeps in flight (≥ 1).
-    /// Receipts correlate by `req_id`, so deeper pipelines overlap
-    /// Phase-I round trips; `queued_puts` drains eagerly up to this
-    /// depth.
-    pub pipeline_depth: usize,
-    /// Edge merge-request retry interval; `None` disables retries
-    /// (trust the transport). Engine-owned, like `cert_retry`.
-    pub merge_retry: Option<Duration>,
-    /// Background compaction sweep period; `None` disables it. Each
-    /// sweep an idle edge asks the cloud to fold fragmented levels
-    /// back to whole pages. Engine-owned, like the retry clocks.
-    pub compaction_period: Option<Duration>,
-    /// Capacity of the shared inbox into the cloud service.
-    pub cloud_inbox_cap: usize,
-    /// Capacity of each edge service's inbox (bounds cloud→edge too).
-    pub edge_inbox_cap: usize,
-    /// Per-caller admission control for [`ThreadedCluster::try_put_on`]:
-    /// how long a caller waits for Phase I before the put is *shed*
-    /// (counted in [`ThreadedReport::puts_shed`]) instead of blocking
-    /// forever behind a full edge inbox. `None` keeps the blocking
-    /// behaviour for `try_put_on` too.
-    pub admission_timeout: Option<Duration>,
-    /// Worker-pool width for the hash/verify hot paths (cloud merge
-    /// rebuilds, edge forest rebuilds, batched signature checks).
-    /// Defaults from `WEDGE_POOL_THREADS` (1 when unset = inline).
-    /// Results are byte-identical for every width.
-    pub pool_threads: usize,
-}
-
-impl Default for ThreadedConfig {
-    fn default() -> Self {
-        ThreadedConfig {
-            lsm: LsmConfig::exposition(),
-            num_edges: 1,
-            batch_size: 4,
-            cloud_hop_latency: Duration::ZERO,
-            edge_apply_latency: Duration::ZERO,
-            seal_times: None,
-            faults: Vec::new(),
-            gossip_period: None,
-            dispute_timeout: Duration::from_secs(30),
-            cert_retry: None,
-            freshness_window: None,
-            pipeline_depth: 1,
-            merge_retry: None,
-            compaction_period: None,
-            cloud_inbox_cap: 1024,
-            edge_inbox_cap: 1024,
-            admission_timeout: None,
-            pool_threads: wedge_pool::threads_from_env(),
-        }
-    }
-}
-
-/// Identity derivation mirrors the simulator harness (cloud 1, edges
-/// 100+p, clients 1000+p) so entries and blocks are byte-identical
-/// across runtimes.
-const CLOUD_ID: u64 = 1;
-const EDGE_ID_BASE: u64 = 100;
-const CLIENT_ID_BASE: u64 = 1000;
-
-/// The edge engine's single client peer handle.
-const CLIENT_PEER: u8 = 0;
-
-/// Inbox of an edge service thread.
-// `WireMsg` dwarfs `Shutdown`; inbox values are moved once per hop.
-#[allow(clippy::large_enum_variant)]
-enum EdgeIn {
-    /// A protocol message from the partition's client service.
-    FromClient(WireMsg),
-    /// A protocol message from the cloud service.
-    FromCloud(WireMsg),
-    Shutdown,
-}
-
-/// Inbox of the cloud service thread.
-#[allow(clippy::large_enum_variant)]
-enum CloudIn {
-    /// A protocol message from peer `peer` (edges `0..E`, partition
-    /// clients `E..2E`).
-    From {
-        peer: usize,
-        msg: WireMsg,
-    },
-    Shutdown,
-}
-
-/// Inbox of a client service thread.
-#[allow(clippy::large_enum_variant)]
-enum ClientIn {
-    /// A caller-submitted batch of puts; the reply carries the Phase-I
-    /// receipt plus a channel resolving at Phase II.
-    PutBatch {
-        ops: Vec<(u64, Vec<u8>)>,
-        reply: SyncSender<PutReply>,
-    },
-    /// A caller-submitted verified get.
-    Get {
-        key: u64,
-        reply: SyncSender<GetOutcome>,
-    },
-    /// A caller-submitted log-read audit (fire and forget; verdicts
-    /// surface in the report).
-    LogRead(BlockId),
-    /// A protocol message from the partition's edge service.
-    FromEdge(WireMsg),
-    /// A protocol message from the cloud service (dispute verdicts).
-    FromCloud(WireMsg),
-    Shutdown,
-}
-
-pub use crate::driver::{PutOps, PutReply};
-
-/// Final per-partition state of a threaded run.
-#[derive(Clone, Debug)]
-pub struct EdgeRunReport {
-    /// The partition's edge identity.
-    pub edge: IdentityId,
-    /// Per log block, in id order: the block's digest, the proof
-    /// digest attached at the edge (if Phase II arrived), and the
-    /// digest the cloud's ledger certified (if any).
-    pub blocks: Vec<(BlockId, Digest, Option<Digest>, Option<Digest>)>,
-    /// Edge-side counters.
-    pub edge_stats: EdgeStats,
-    /// The partition client's metrics (disputes filed/upheld included).
-    pub client_metrics: ClientMetrics,
-    /// Contiguously certified prefix length in the cloud's ledger —
-    /// the content of the edge's gossip watermark.
-    pub certified_len: u64,
-    /// The freshest gossip watermark the client holds for this edge.
-    pub watermark_len: Option<u64>,
-    /// Every dispute verdict the client received, in arrival order.
-    pub verdicts: Vec<DisputeVerdict>,
-}
-
-/// Final state of a threaded run, extracted at shutdown. This is what
-/// the differential test compares against the simulator.
-#[derive(Clone, Debug)]
-pub struct ThreadedReport {
-    /// Per-partition state, indexed like `ThreadedConfig::faults`.
-    pub edges: Vec<EdgeRunReport>,
-    /// Cloud-side counters.
-    pub cloud_stats: CloudStats,
-    /// Punished edge identities, sorted.
-    pub punished: Vec<IdentityId>,
-    /// Droppable cloud→edge messages (gossip, freshness refreshes)
-    /// shed because an edge inbox was full.
-    pub shed_cloud_msgs: u64,
-    /// Critical cloud→edge messages (proofs, merge results) deferred
-    /// because an edge inbox was full (delivered later).
-    pub deferred_cloud_msgs: u64,
-    /// Caller puts shed by the admission path (`try_put_on` hit its
-    /// admission timeout, or the batch was rejected outright).
-    pub puts_shed: u64,
-    /// Fold work across every merge the cloud processed (organic
-    /// merges and background compaction requests alike).
-    pub compaction: CompactionStats,
-    /// Witness checks the process-shared read-proof cache answered
-    /// without re-derivation, across all clients.
-    pub proof_cache_hits: u64,
-    /// Witness checks that paid the full re-derivation.
-    pub proof_cache_misses: u64,
-}
-
-/// Why [`ThreadedCluster::try_put_on`] shed a put instead of returning
-/// its Phase-I reply.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PutShed {
-    /// Phase I did not commit within the configured admission timeout.
-    /// The batch is *not* cancelled — it may still commit later; the
-    /// shed is about never wedging the caller behind a full edge
-    /// inbox.
-    AdmissionTimeout,
-    /// The client service dropped the batch (rejected by the edge, or
-    /// the dispute deadline freed the slot, or shutdown).
-    Rejected,
-}
-
-impl std::fmt::Display for PutShed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PutShed::AdmissionTimeout => write!(f, "put shed: admission timeout"),
-            PutShed::Rejected => write!(f, "put shed: batch rejected"),
-        }
-    }
-}
-
-impl std::error::Error for PutShed {}
-
-/// What a joined client service thread yields.
-type ClientExit = (ClientEngine, Vec<DisputeVerdict>);
-/// What the joined cloud thread yields: the engine plus the shed and
-/// deferred cloud→edge message counts.
-type CloudExit = (CloudEngine<usize>, u64, u64);
-
-/// A running N-edge + cloud cluster on real threads.
-pub struct ThreadedCluster {
-    client_txs: Vec<Sender<ClientIn>>,
-    edge_txs: Vec<SyncSender<EdgeIn>>,
-    cloud_tx: SyncSender<CloudIn>,
-    edge_handles: Vec<Option<JoinHandle<EdgeEngine<u8>>>>,
-    client_handles: Vec<Option<JoinHandle<ClientExit>>>,
-    cloud_handle: Option<JoinHandle<CloudExit>>,
-    /// Public registry for caller-side verification.
-    pub registry: KeyRegistry,
-    /// The cloud's identity id.
-    pub cloud_id: IdentityId,
-    /// Edge identity per partition.
-    pub edge_ids: Vec<IdentityId>,
-    /// Caller-side batching per partition (ops, not entries: sequence
-    /// numbers are assigned by the client engine, on its thread, so
-    /// ordering is automatic).
-    batcher: PutBatcher,
-    /// Admission timeout for `try_put_on` (see `ThreadedConfig`).
-    admission_timeout: Option<Duration>,
-    /// Puts shed by the admission path.
-    puts_shed: std::sync::atomic::AtomicU64,
-    /// The process-wide read-proof cache every client shares —
-    /// sharded, so partitions verifying in parallel contend per-shard,
-    /// not on one global lock.
-    proof_cache: Arc<ShardedReadProofCache>,
-}
-
-impl ThreadedCluster {
-    /// Spawns the cloud, edge, and client service threads.
-    pub fn start(cfg: ThreadedConfig) -> Arc<Self> {
-        assert!(cfg.num_edges > 0, "need at least one edge");
-        assert!(cfg.cloud_inbox_cap > 0 && cfg.edge_inbox_cap > 0, "inboxes need capacity");
-        // Scripted seal times put BatchAdd handling on a virtual clock
-        // while the service loop ticks on the wall clock; a retry
-        // deadline armed in one domain and checked in the other would
-        // fire at a meaningless moment.
-        assert!(
-            cfg.seal_times.is_none()
-                || (cfg.cert_retry.is_none() && cfg.compaction_period.is_none()),
-            "seal_times (virtual timestamps) and cert_retry/compaction (wall-clock deadlines) \
-             cannot combine"
-        );
-        let edges = cfg.num_edges;
-        let cloud_ident = Identity::derive("cloud", CLOUD_ID);
-        let edge_idents: Vec<Identity> =
-            (0..edges).map(|p| Identity::derive("edge", EDGE_ID_BASE + p as u64)).collect();
-        let client_idents: Vec<Identity> =
-            (0..edges).map(|p| Identity::derive("client", CLIENT_ID_BASE + p as u64)).collect();
-        let mut registry = KeyRegistry::new();
-        // lint:allow(no-panic-path): cluster construction on the caller thread — freshly derived ids cannot collide, and a failure must abort the harness before any service thread exists
-        registry.register(cloud_ident.id, cloud_ident.public()).unwrap();
-        for ident in edge_idents.iter().chain(&client_idents) {
-            // lint:allow(no-panic-path): same construction-time registration as above — distinct derived ids, fail fast before threads spawn
-            registry.register(ident.id, ident.public()).unwrap();
-        }
-
-        let mut index = CloudIndex::new(cfg.lsm.clone());
-        // Each engine runs on its own service thread and scopes its
-        // own parallel sections; a shared pool would serialize them,
-        // so the cloud and every edge get a pool of their own.
-        index.set_pool(wedge_pool::Pool::new(cfg.pool_threads));
-        let inits: Vec<_> =
-            edge_idents.iter().map(|e| index.init_edge(&cloud_ident, e.id, 0)).collect();
-
-        let edge_ids: Vec<IdentityId> = edge_idents.iter().map(|e| e.id).collect();
-        let cloud_id = cloud_ident.id;
-        let cost = CostModel::default();
-
-        let cloud_engine = CloudEngine::new(
-            cloud_ident,
-            registry.clone(),
-            cost.clone(),
-            index,
-            (0..edges).map(|p| (p, edge_ids[p])).collect::<HashMap<_, _>>(),
-            cfg.gossip_period.map(|d| d.as_nanos() as u64),
-        );
-
-        let (cloud_tx, cloud_rx) = sync_channel::<CloudIn>(cfg.cloud_inbox_cap);
-        let mut edge_txs = Vec::new();
-        let mut edge_rxs = Vec::new();
-        for _ in 0..edges {
-            let (tx, rx) = sync_channel::<EdgeIn>(cfg.edge_inbox_cap);
-            edge_txs.push(tx);
-            edge_rxs.push(rx);
-        }
-        let mut client_txs = Vec::new();
-        let mut client_rxs = Vec::new();
-        for _ in 0..edges {
-            // lint:allow(bounded-channels): deliberately unbounded — the client inbox is the one queue that must never block, or the client→edge→cloud→client send cycle deadlocks; inbound volume is bounded by the pipeline depth
-            let (tx, rx) = channel::<ClientIn>();
-            client_txs.push(tx);
-            client_rxs.push(rx);
-        }
-
-        let epoch = Instant::now();
-
-        let cloud_handle = {
-            let edge_txs = edge_txs.clone();
-            let client_txs = client_txs.clone();
-            let hop = cfg.cloud_hop_latency;
-            std::thread::Builder::new()
-                .name("wedge-cloud".into())
-                .spawn(move || {
-                    cloud_service(cloud_engine, cloud_rx, edge_txs, client_txs, hop, epoch)
-                })
-                // lint:allow(no-panic-path): thread spawn at cluster construction, on the caller thread — failing fast before the run starts is the harness contract
-                .expect("spawn cloud thread")
-        };
-
-        let mut edge_handles = Vec::new();
-        for (p, (ident, rx)) in edge_idents.into_iter().zip(edge_rxs).enumerate() {
-            let tree = LsMerkle::new(ident.id, cfg.lsm.clone(), inits[p].clone());
-            let fault = cfg.faults.get(p).cloned().unwrap_or_default();
-            let mut engine = EdgeEngine::new(
-                ident,
-                cloud_id,
-                registry.clone(),
-                cost.clone(),
-                CryptoMode::Real,
-                fault,
-                tree,
-                vec![CLIENT_PEER],
-            );
-            engine.set_pool(wedge_pool::Pool::new(cfg.pool_threads));
-            engine.set_cert_retry_ns(cfg.cert_retry.map(|d| d.as_nanos() as u64));
-            engine.set_merge_retry_ns(cfg.merge_retry.map(|d| d.as_nanos() as u64));
-            engine.set_compaction_period_ns(cfg.compaction_period.map(|d| d.as_nanos() as u64));
-            let cloud = cloud_tx.clone();
-            let client = client_txs[p].clone();
-            let seal_times: VecDeque<u64> = cfg
-                .seal_times
-                .as_ref()
-                .and_then(|per_edge| per_edge.get(p).cloned())
-                .unwrap_or_default()
-                .into();
-            let apply_latency = cfg.edge_apply_latency;
-            let handle = std::thread::Builder::new()
-                .name(format!("wedge-edge-{p}"))
-                .spawn(move || {
-                    edge_service(engine, rx, cloud, client, p, epoch, seal_times, apply_latency)
-                })
-                // lint:allow(no-panic-path): construction-time spawn on the caller thread, same contract as the cloud spawn
-                .expect("spawn edge thread");
-            edge_handles.push(Some(handle));
-        }
-
-        // One proof cache for the whole process: a witness verified by
-        // any partition's client is verified for all of them (the
-        // cache's trust rule is content-based, not per-client).
-        let proof_cache = Arc::new(ShardedReadProofCache::default());
-        let mut client_handles = Vec::new();
-        for (p, (ident, rx)) in client_idents.into_iter().zip(client_rxs).enumerate() {
-            let seed = client_workload_seed(0, ident.id);
-            let mut engine = ClientEngine::new(
-                ident,
-                edge_ids[p],
-                cloud_id,
-                registry.clone(),
-                cost.clone(),
-                CryptoMode::Real,
-                ClientPlan::idle(),
-                cfg.freshness_window.map(|d| d.as_nanos() as u64),
-                cfg.dispute_timeout.as_nanos() as u64,
-                seed,
-            );
-            engine.set_pipeline_depth(cfg.pipeline_depth);
-            engine.share_proof_cache(Arc::clone(&proof_cache));
-            let edge = edge_txs[p].clone();
-            let cloud = cloud_tx.clone();
-            let peer = edges + p;
-            let handle = std::thread::Builder::new()
-                .name(format!("wedge-client-{p}"))
-                .spawn(move || client_service(engine, rx, edge, cloud, peer, epoch))
-                // lint:allow(no-panic-path): construction-time spawn on the caller thread, same contract as the cloud spawn
-                .expect("spawn client thread");
-            client_handles.push(Some(handle));
-        }
-
-        Arc::new(ThreadedCluster {
-            client_txs,
-            edge_txs,
-            cloud_tx,
-            edge_handles,
-            client_handles,
-            cloud_handle: Some(cloud_handle),
-            registry,
-            cloud_id,
-            edge_ids,
-            batcher: PutBatcher::new(edges, cfg.batch_size),
-            admission_timeout: cfg.admission_timeout,
-            puts_shed: std::sync::atomic::AtomicU64::new(0),
-            proof_cache,
-        })
-    }
-
-    /// Puts a key-value pair through partition `edge`'s client.
-    /// Buffers caller-side until a batch is full, then submits the
-    /// batch and returns the Phase-I reply. Returns `None` while
-    /// buffering.
-    pub fn put_on(&self, edge: usize, key: u64, value: Vec<u8>) -> Option<PutReply> {
-        self.batcher.put(edge, key, value, |ops| self.submit(edge, ops))
-    }
-
-    /// Flushes partition `edge`'s buffered entries as a partial batch.
-    pub fn flush_on(&self, edge: usize) -> Option<PutReply> {
-        self.batcher.flush(edge, |ops| self.submit(edge, ops))
-    }
-
-    /// Like [`ThreadedCluster::put_on`], but with per-caller admission
-    /// control: if the batch's Phase-I reply does not arrive within
-    /// `ThreadedConfig::admission_timeout`, the put is *shed* —
-    /// counted in [`ThreadedReport::puts_shed`] and surfaced as
-    /// [`PutShed`] — instead of blocking the caller indefinitely
-    /// behind a full edge inbox. `Ok(None)` means the put is still
-    /// buffering client-side. With no timeout configured this is
-    /// `put_on` with a `Result` wrapper.
-    pub fn try_put_on(
-        &self,
-        edge: usize,
-        key: u64,
-        value: Vec<u8>,
-    ) -> Result<Option<PutReply>, PutShed> {
-        let Some(rx) = self.batcher.put_submit(edge, key, value, |ops| self.submit(edge, ops))
-        else {
-            return Ok(None);
-        };
-        let shed = |err: PutShed| {
-            self.puts_shed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Err(err)
-        };
-        // Without a timeout this is still the *fallible* API: a
-        // rejected batch (dropped reply sender) is `PutShed::Rejected`,
-        // never the panic `put_on`'s infallible contract uses.
-        let Some(timeout) = self.admission_timeout else {
-            return match rx.recv() {
-                Ok(reply) => Ok(Some(reply)),
-                Err(_) => shed(PutShed::Rejected),
-            };
-        };
-        use std::sync::mpsc::RecvTimeoutError;
-        match rx.recv_timeout(timeout) {
-            Ok(reply) => Ok(Some(reply)),
-            Err(RecvTimeoutError::Timeout) => shed(PutShed::AdmissionTimeout),
-            Err(RecvTimeoutError::Disconnected) => shed(PutShed::Rejected),
-        }
-    }
-
-    /// Sends one batch to the partition's client service. Called with
-    /// the batcher lock held so batches enqueue in submission order;
-    /// sequence signing happens on the (single) client thread, so no
-    /// ordering hazard remains past this point.
-    fn submit(&self, edge: usize, ops: Vec<(u64, Vec<u8>)>) -> Receiver<PutReply> {
-        // Single-shot reply: exactly one Phase-I reply ever rides the
-        // channel, so the rendezvous send cannot block the service.
-        let (tx, rx) = sync_channel(1);
-        // lint:allow(discarded-result): client service gone = shutdown race; the caller sees the closed reply channel and sheds the put
-        let _ = self.client_txs[edge].send(ClientIn::PutBatch { ops, reply: tx });
-        rx
-    }
-
-    /// Puts on partition 0 (single-edge convenience).
-    pub fn put(&self, key: u64, value: Vec<u8>) -> Option<PutReply> {
-        self.put_on(0, key, value)
-    }
-
-    /// Flushes partition 0 (single-edge convenience).
-    pub fn flush(&self) -> Option<PutReply> {
-        self.flush_on(0)
-    }
-
-    /// Gets a key through partition `edge`'s client, with full
-    /// engine-side verification (proof cache included).
-    pub fn get_on(&self, edge: usize, key: u64) -> Result<GetOutcome, ProofError> {
-        let (tx, rx) = sync_channel(1);
-        // lint:allow(no-panic-path): caller-facing harness API; the client service outlives the cluster handle by construction, and a violated contract must fail fast here, not corrupt a measurement
-        self.client_txs[edge].send(ClientIn::Get { key, reply: tx }).expect("client service alive");
-        // lint:allow(no-panic-path): same contract as the send above — the service replies or the run is already broken
-        let outcome = rx.recv().expect("client service replies");
-        match outcome.verify_error.clone() {
-            Some(e) => Err(e),
-            None => Ok(outcome),
-        }
-    }
-
-    /// Gets on partition 0 (single-edge convenience).
-    pub fn get(&self, key: u64) -> Result<GetOutcome, ProofError> {
-        self.get_on(0, key)
-    }
-
-    /// Audits a log block through partition `edge`'s client. Fire and
-    /// forget: a lying edge surfaces as a verdict in the report.
-    pub fn log_read_on(&self, edge: usize, bid: BlockId) {
-        // lint:allow(discarded-result): fire-and-forget audit — a dead client service means shutdown already began and there is nothing left to audit
-        let _ = self.client_txs[edge].send(ClientIn::LogRead(bid));
-    }
-
-    /// Shuts all services down, joins their threads, and returns the
-    /// final protocol state (for assertions and the differential
-    /// test). Returns `None` unless called on the last owner.
-    pub fn shutdown(mut self: Arc<Self>) -> Option<ThreadedReport> {
-        // Only the last owner actually joins.
-        let this = Arc::get_mut(&mut self)?;
-        for tx in &this.client_txs {
-            // lint:allow(discarded-result): best-effort shutdown — a service whose inbox is closed has already exited, which is the goal
-            let _ = tx.send(ClientIn::Shutdown);
-        }
-        for tx in &this.edge_txs {
-            // lint:allow(discarded-result): best-effort shutdown, as above
-            let _ = tx.send(EdgeIn::Shutdown);
-        }
-        // lint:allow(discarded-result): best-effort shutdown, as above
-        let _ = this.cloud_tx.send(CloudIn::Shutdown);
-        let clients: Vec<ClientExit> = this
-            .client_handles
-            .iter_mut()
-            .map(|h| h.take().and_then(|h| h.join().ok()))
-            .collect::<Option<_>>()?;
-        let edges: Vec<EdgeEngine<u8>> = this
-            .edge_handles
-            .iter_mut()
-            .map(|h| h.take().and_then(|h| h.join().ok()))
-            .collect::<Option<_>>()?;
-        let (cloud_engine, shed, deferred) =
-            this.cloud_handle.take().and_then(|h| h.join().ok())?;
-
-        let mut reports = Vec::new();
-        for (p, (edge_engine, (client_engine, verdicts))) in
-            edges.into_iter().zip(clients).enumerate()
-        {
-            let edge_id = this.edge_ids[p];
-            let blocks = edge_engine
-                .log
-                .iter()
-                .map(|sb| {
-                    (
-                        sb.block.id,
-                        sb.block.digest(),
-                        sb.proof.as_ref().map(|pr| pr.digest),
-                        cloud_engine.ledger.lookup(edge_id, sb.block.id).copied(),
-                    )
-                })
-                .collect();
-            reports.push(EdgeRunReport {
-                edge: edge_id,
-                blocks,
-                edge_stats: edge_engine.stats.clone(),
-                client_metrics: client_engine.metrics.clone(),
-                certified_len: cloud_engine.ledger.contiguous_len(edge_id),
-                watermark_len: client_engine.watermarks.latest(edge_id).map(|wm| wm.log_len),
-                verdicts,
-            });
-        }
-        let mut punished: Vec<IdentityId> = cloud_engine.punished.iter().copied().collect();
-        punished.sort_by_key(|id| id.0);
-        let (proof_cache_hits, proof_cache_misses) =
-            (this.proof_cache.hits(), this.proof_cache.misses());
-        Some(ThreadedReport {
-            edges: reports,
-            cloud_stats: cloud_engine.stats.clone(),
-            punished,
-            shed_cloud_msgs: shed,
-            deferred_cloud_msgs: deferred,
-            puts_shed: this.puts_shed.load(std::sync::atomic::Ordering::Relaxed),
-            compaction: cloud_engine.index.compaction_stats(),
-            proof_cache_hits,
-            proof_cache_misses,
-        })
-    }
-}
-
-/// The edge service: drives an [`EdgeEngine`] from its bounded inbox,
-/// routing cloud-bound effects onto the cloud channel and client-bound
-/// effects to the partition's client service. Certification-retry
-/// deadlines are consumed via `recv_timeout` + `Tick`.
-#[allow(clippy::too_many_arguments)]
-fn edge_service(
-    mut engine: EdgeEngine<u8>,
-    rx: Receiver<EdgeIn>,
-    cloud: SyncSender<CloudIn>,
-    client: Sender<ClientIn>,
-    peer: usize,
-    epoch: Instant,
-    mut seal_times: VecDeque<u64>,
-    apply_latency: Duration,
-) -> EdgeEngine<u8> {
-    let apply = |engine: &mut EdgeEngine<u8>, cmd: EdgeCommand<u8>, now_ns: u64| {
-        for effect in engine.handle(cmd, now_ns) {
-            match effect {
-                EdgeEffect::SendCloud { msg, .. } => {
-                    // lint:allow(discarded-result): a closed cloud inbox means cluster teardown is racing this send; the edge loop exits on its own Shutdown next
-                    let _ = cloud.send(CloudIn::From { peer, msg });
-                }
-                EdgeEffect::Send { msg, .. } => {
-                    // lint:allow(discarded-result): closed client inbox = teardown in progress, as above
-                    let _ = client.send(ClientIn::FromEdge(msg));
-                }
-                // CPU accounting has no real-time counterpart here.
-                EdgeEffect::UseCpu(_) | EdgeEffect::UseCpuBackground(_) => {}
-            }
-        }
-    };
-    loop {
-        match recv_until(&rx, engine.next_deadline_ns(), epoch) {
-            Inbox::Msg(EdgeIn::FromClient(msg)) => {
-                // Scripted seal times make block digests reproducible.
-                let now_ns = if matches!(msg, WireMsg::BatchAdd { .. }) {
-                    seal_times.pop_front().unwrap_or_else(|| elapsed_ns(epoch))
-                } else {
-                    elapsed_ns(epoch)
-                };
-                if let Some(cmd) = EdgeCommand::from_wire(CLIENT_PEER, msg) {
-                    apply(&mut engine, cmd, now_ns);
-                }
-            }
-            Inbox::Msg(EdgeIn::FromCloud(msg)) => {
-                if !apply_latency.is_zero() {
-                    std::thread::sleep(apply_latency);
-                }
-                if let Some(cmd) = EdgeCommand::from_wire(CLIENT_PEER, msg) {
-                    apply(&mut engine, cmd, elapsed_ns(epoch));
-                }
-            }
-            Inbox::Msg(EdgeIn::Shutdown) | Inbox::Disconnected => break,
-            Inbox::Deadline => {}
-        }
-        let now_ns = elapsed_ns(epoch);
-        if engine.next_deadline_ns().is_some_and(|d| d <= now_ns) {
-            apply(&mut engine, EdgeCommand::Tick, now_ns);
-        }
-    }
-    engine
-}
-
-/// The client service: drives a [`ClientEngine`] from its inbox,
-/// routing caller requests in and completions back out (via the
-/// shared [`ClientCompletions`] router). Dispute deadlines are
-/// consumed via `recv_timeout` + `Tick` — the thread never decides
-/// when a dispute fires.
-fn client_service(
-    mut engine: ClientEngine,
-    rx: Receiver<ClientIn>,
-    edge: SyncSender<EdgeIn>,
-    cloud: SyncSender<CloudIn>,
-    peer: usize,
-    epoch: Instant,
-) -> ClientExit {
-    let mut comp = ClientCompletions::new();
-    let mut send_edge = |msg: WireMsg| {
-        // lint:allow(discarded-result): closed edge inbox = cluster teardown; the dispute timeout covers a genuinely unresponsive edge
-        let _ = edge.send(EdgeIn::FromClient(msg));
-    };
-    let mut send_cloud = |msg: WireMsg| {
-        // lint:allow(discarded-result): closed cloud inbox = cluster teardown, as above
-        let _ = cloud.send(CloudIn::From { peer, msg });
-    };
-    loop {
-        match recv_until(&rx, engine.next_deadline_ns(), epoch) {
-            Inbox::Msg(ClientIn::PutBatch { ops, reply }) => comp.queue_put(ops, reply),
-            Inbox::Msg(ClientIn::Get { key, reply }) => {
-                let token = comp.register_get(reply);
-                let cmd = ClientCommand::Get { token, key };
-                comp.run(&mut engine, cmd, elapsed_ns(epoch), &mut send_edge, &mut send_cloud);
-            }
-            Inbox::Msg(ClientIn::LogRead(bid)) => {
-                let cmd = ClientCommand::LogRead { bid };
-                comp.run(&mut engine, cmd, elapsed_ns(epoch), &mut send_edge, &mut send_cloud);
-            }
-            Inbox::Msg(ClientIn::FromEdge(msg)) | Inbox::Msg(ClientIn::FromCloud(msg)) => {
-                if let Some(cmd) = ClientCommand::from_wire(msg) {
-                    comp.run(&mut engine, cmd, elapsed_ns(epoch), &mut send_edge, &mut send_cloud);
-                }
-            }
-            Inbox::Msg(ClientIn::Shutdown) | Inbox::Disconnected => break,
-            Inbox::Deadline => {}
-        }
-        let now_ns = elapsed_ns(epoch);
-        comp.pump_puts(&mut engine, now_ns, &mut send_edge, &mut send_cloud);
-        if engine.next_deadline_ns().is_some_and(|d| d <= now_ns) {
-            comp.run(&mut engine, ClientCommand::Tick, now_ns, &mut send_edge, &mut send_cloud);
-        }
-    }
-    (engine, comp.into_verdicts())
-}
-
-/// True for cloud→edge traffic that may be shed under backpressure:
-/// the next gossip round re-issues it.
-fn droppable(msg: &WireMsg) -> bool {
-    matches!(msg, WireMsg::Gossip(_) | WireMsg::GlobalRefresh(_))
-}
-
-/// Cloud→edge delivery under backpressure: never block (a blocking
-/// send could cycle with an edge blocked on its cloud send), shed
-/// droppable traffic, defer the rest in FIFO order.
-struct EdgeOutbox {
-    tx: SyncSender<EdgeIn>,
-    deferred: VecDeque<WireMsg>,
-}
-
-impl EdgeOutbox {
-    fn flush(&mut self) {
-        while let Some(msg) = self.deferred.pop_front() {
-            match self.tx.try_send(EdgeIn::FromCloud(msg)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(EdgeIn::FromCloud(msg))) => {
-                    self.deferred.push_front(msg);
-                    break;
-                }
-                Err(_) => {
-                    // Edge gone (shutdown): nothing left to deliver.
-                    self.deferred.clear();
-                    break;
-                }
-            }
-        }
-    }
-
-    fn deliver(&mut self, msg: WireMsg, shed: &mut u64, deferred_count: &mut u64) {
-        self.flush();
-        // Preserve order: once anything is deferred, everything
-        // critical queues behind it.
-        if self.deferred.is_empty() {
-            match self.tx.try_send(EdgeIn::FromCloud(msg)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(EdgeIn::FromCloud(msg))) => {
-                    self.queue_or_shed(msg, shed, deferred_count)
-                }
-                Err(_) => {}
-            }
-        } else {
-            self.queue_or_shed(msg, shed, deferred_count);
-        }
-    }
-
-    fn queue_or_shed(&mut self, msg: WireMsg, shed: &mut u64, deferred_count: &mut u64) {
-        if droppable(&msg) {
-            *shed += 1;
-        } else {
-            self.deferred.push_back(msg);
-            *deferred_count += 1;
-        }
-    }
-}
-
-/// The cloud service: drives the [`CloudEngine`] from the shared
-/// bounded inbox. Gossip deadlines are consumed via `recv_timeout` +
-/// `Tick`; outbound edge traffic goes through [`EdgeOutbox`].
-fn cloud_service(
-    mut engine: CloudEngine<usize>,
-    rx: Receiver<CloudIn>,
-    edge_txs: Vec<SyncSender<EdgeIn>>,
-    client_txs: Vec<Sender<ClientIn>>,
-    hop: Duration,
-    epoch: Instant,
-) -> CloudExit {
-    let num_edges = edge_txs.len();
-    let mut outboxes: Vec<EdgeOutbox> =
-        edge_txs.into_iter().map(|tx| EdgeOutbox { tx, deferred: VecDeque::new() }).collect();
-    let mut shed = 0u64;
-    let mut deferred_count = 0u64;
-    /// While messages are deferred, wake at least this often to retry.
-    const FLUSH_RETRY: Duration = Duration::from_millis(1);
-    loop {
-        for outbox in &mut outboxes {
-            outbox.flush();
-        }
-        let deferring = outboxes.iter().any(|o| !o.deferred.is_empty());
-        let deadline = engine.next_deadline_ns();
-        let timeout = if deferring {
-            let retry_at = elapsed_ns(epoch) + FLUSH_RETRY.as_nanos() as u64;
-            Some(deadline.map_or(retry_at, |d| d.min(retry_at)))
-        } else {
-            deadline
-        };
-        match recv_until(&rx, timeout, epoch) {
-            Inbox::Msg(CloudIn::From { peer, msg }) => {
-                if !hop.is_zero() {
-                    std::thread::sleep(hop);
-                }
-                if let Some(cmd) = CloudCommand::from_wire(peer, msg) {
-                    for effect in engine.handle(cmd, elapsed_ns(epoch)) {
-                        route_cloud_effect(
-                            effect,
-                            num_edges,
-                            &mut outboxes,
-                            &client_txs,
-                            &mut shed,
-                            &mut deferred_count,
-                        );
-                    }
-                }
-            }
-            Inbox::Msg(CloudIn::Shutdown) | Inbox::Disconnected => break,
-            Inbox::Deadline => {}
-        }
-        let now_ns = elapsed_ns(epoch);
-        if engine.next_deadline_ns().is_some_and(|d| d <= now_ns) {
-            for effect in engine.handle(CloudCommand::Tick, now_ns) {
-                route_cloud_effect(
-                    effect,
-                    num_edges,
-                    &mut outboxes,
-                    &client_txs,
-                    &mut shed,
-                    &mut deferred_count,
-                );
-            }
-        }
-    }
-    (engine, shed, deferred_count)
-}
-
-fn route_cloud_effect(
-    effect: CloudEffect<usize>,
-    num_edges: usize,
-    outboxes: &mut [EdgeOutbox],
-    client_txs: &[Sender<ClientIn>],
-    shed: &mut u64,
-    deferred_count: &mut u64,
-) {
-    match effect {
-        CloudEffect::Send { to, msg, .. } if to < num_edges => {
-            outboxes[to].deliver(msg, shed, deferred_count);
-        }
-        CloudEffect::Send { to, msg, .. } => {
-            // lint:allow(discarded-result): a closed client inbox means that partition already shut down; gossip/refresh re-delivers protocol state next round
-            let _ = client_txs[to - num_edges].send(ClientIn::FromCloud(msg));
-        }
-        CloudEffect::UseCpu(_) => {}
-    }
-}
+/// A running N-edge + cloud cluster on in-process links.
+pub type ThreadedCluster = Cluster<MemLink>;
+/// Configuration for the in-process cluster (the one [`ClusterConfig`]).
+pub type ThreadedConfig = ClusterConfig;
+/// Final state of an in-process run (the one [`ClusterReport`]).
+pub type ThreadedReport = ClusterReport;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    //! The shared scenario suite on the in-process link; the same
+    //! bodies run over TCP in `wedge-net`.
+    use super::MemLink;
+    use crate::driver::scenarios as s;
 
     #[test]
     fn threaded_put_get_roundtrip() {
-        let cluster =
-            ThreadedCluster::start(ThreadedConfig { batch_size: 2, ..ThreadedConfig::default() });
-        assert!(cluster.put(1, b"a".to_vec()).is_none()); // buffered
-        let reply = cluster.put(2, b"b".to_vec()).expect("batch sealed");
-        assert!(reply.receipt.verify(&cluster.registry));
-        // Phase II arrives asynchronously.
-        let proof = reply.certified.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(proof.digest, reply.receipt.block_digest);
-        // Verified read.
-        let read = cluster.get(1).unwrap();
-        assert_eq!(read.value.as_deref(), Some(b"a".as_ref()));
-        cluster.shutdown();
+        s::put_get_roundtrip::<MemLink>();
     }
 
     #[test]
     fn threaded_merges_preserve_data() {
-        let cluster =
-            ThreadedCluster::start(ThreadedConfig { batch_size: 1, ..ThreadedConfig::default() });
-        let mut last = None;
-        for k in 0..20u64 {
-            last = cluster.put(k, format!("v{k}").into_bytes());
-        }
-        // Wait for the final certification so merges settle.
-        if let Some(reply) = last {
-            let _ = reply.certified.recv_timeout(Duration::from_secs(5));
-        }
-        for k in 0..20u64 {
-            let read = cluster.get(k).unwrap();
-            assert_eq!(read.value, Some(format!("v{k}").into_bytes()), "key {k}");
-        }
-        let report = cluster.shutdown().expect("sole owner gets the report");
-        assert_eq!(report.edges[0].edge_stats.blocks_sealed, 20);
-        assert!(report.cloud_stats.merges_processed > 0, "merges ran");
+        s::merges_preserve_data::<MemLink>();
     }
 
     #[test]
     fn threaded_absent_key_is_none() {
-        let cluster = ThreadedCluster::start(ThreadedConfig::default());
-        cluster.put(5, b"x".to_vec());
-        cluster.flush();
-        let read = cluster.get(999).unwrap();
-        assert_eq!(read.value, None);
-        cluster.shutdown();
+        s::absent_key_is_none::<MemLink>();
     }
 
     #[test]
     fn threaded_with_injected_latency() {
-        let cluster = ThreadedCluster::start(ThreadedConfig {
-            batch_size: 1,
-            cloud_hop_latency: Duration::from_millis(5),
-            ..ThreadedConfig::default()
-        });
-        let t0 = Instant::now();
-        let reply = cluster.put(1, b"v".to_vec()).unwrap();
-        let p1 = t0.elapsed();
-        let _ = reply.certified.recv_timeout(Duration::from_secs(5)).unwrap();
-        let p2 = t0.elapsed();
-        // Phase I returns without waiting for the cloud hop; Phase II
-        // pays it.
-        assert!(p2 >= Duration::from_millis(5));
-        assert!(p1 < p2);
-        cluster.shutdown();
+        s::injected_cloud_hop_latency::<MemLink>();
     }
 
     #[test]
     fn threaded_concurrent_writers_lose_nothing() {
-        // Regression: batches must reach the client engine in
-        // submission order (sequence numbers are assigned on the
-        // client thread) — otherwise the engine's replay window
-        // silently drops a late batch.
-        let cluster =
-            ThreadedCluster::start(ThreadedConfig { batch_size: 2, ..ThreadedConfig::default() });
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let cluster = &cluster;
-                scope.spawn(move || {
-                    for i in 0..25u64 {
-                        cluster.put(t * 1000 + i, vec![t as u8, i as u8]);
-                    }
-                });
-            }
-        });
-        cluster.flush();
-        // Every one of the 100 distinct keys must be readable: no
-        // batch was rejected by the replay window.
-        for t in 0..4u64 {
-            for i in 0..25u64 {
-                let read = cluster.get(t * 1000 + i).unwrap();
-                assert_eq!(read.value, Some(vec![t as u8, i as u8]), "key {t}/{i}");
-            }
-        }
-        let report = cluster.shutdown().expect("report");
-        assert_eq!(report.edges[0].edge_stats.blocks_sealed, 50, "100 entries in batches of 2");
+        s::concurrent_writers_lose_nothing::<MemLink>();
     }
 
     #[test]
     fn threaded_pipelined_writers_lose_nothing() {
-        // With pipeline_depth > 1, queued batches drain eagerly into
-        // multiple outstanding slots. Correctness must be unchanged:
-        // every key readable, every block sealed exactly once.
-        let cluster = ThreadedCluster::start(ThreadedConfig {
-            batch_size: 2,
-            pipeline_depth: 4,
-            ..ThreadedConfig::default()
-        });
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let cluster = &cluster;
-                scope.spawn(move || {
-                    for i in 0..25u64 {
-                        cluster.put(t * 1000 + i, vec![t as u8, i as u8]);
-                    }
-                });
-            }
-        });
-        cluster.flush();
-        for t in 0..4u64 {
-            for i in 0..25u64 {
-                let read = cluster.get(t * 1000 + i).unwrap();
-                assert_eq!(read.value, Some(vec![t as u8, i as u8]), "key {t}/{i}");
-            }
-        }
-        let report = cluster.shutdown().expect("report");
-        assert_eq!(report.edges[0].edge_stats.blocks_sealed, 50, "100 entries in batches of 2");
+        s::pipelined_writers_lose_nothing::<MemLink>();
     }
 
     #[test]
     fn threaded_scripted_seal_times_are_deterministic() {
-        let run = || {
-            let cluster = ThreadedCluster::start(ThreadedConfig {
-                batch_size: 2,
-                seal_times: Some(vec![vec![1_000, 2_000, 3_000]]),
-                ..ThreadedConfig::default()
-            });
-            for k in 0..6u64 {
-                cluster.put(k, vec![k as u8; 8]);
-            }
-            cluster.shutdown().expect("report")
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.edges[0].blocks.len(), 3);
-        for (x, y) in a.edges[0].blocks.iter().zip(&b.edges[0].blocks) {
-            assert_eq!(x.0, y.0);
-            assert_eq!(x.1, y.1, "scripted seal times make digests reproducible");
-        }
+        s::scripted_seal_times_are_deterministic::<MemLink>();
     }
 
     #[test]
     fn threaded_n_edges_partition_data_and_certification() {
-        let cluster = ThreadedCluster::start(ThreadedConfig {
-            num_edges: 3,
-            batch_size: 1,
-            ..ThreadedConfig::default()
-        });
-        let mut last = Vec::new();
-        for p in 0..3usize {
-            for k in 0..4u64 {
-                last.push(cluster.put_on(p, k + 10 * p as u64, vec![p as u8, k as u8]).unwrap());
-            }
-        }
-        for reply in last {
-            let proof = reply.certified.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(proof.digest, reply.receipt.block_digest);
-        }
-        // Partitioned keyspaces: each edge serves its own keys...
-        for p in 0..3usize {
-            for k in 0..4u64 {
-                let read = cluster.get_on(p, k + 10 * p as u64).unwrap();
-                assert_eq!(read.value, Some(vec![p as u8, k as u8]));
-            }
-        }
-        // ...and not its neighbours'.
-        assert_eq!(cluster.get_on(0, 21).unwrap().value, None);
-        let report = cluster.shutdown().expect("report");
-        assert_eq!(report.edges.len(), 3);
-        for (p, edge) in report.edges.iter().enumerate() {
-            assert_eq!(edge.edge_stats.blocks_sealed, 4, "edge {p}");
-            assert_eq!(edge.certified_len, 4, "edge {p} fully certified");
-        }
-        assert!(report.punished.is_empty());
-        cluster_report_sane(&report);
-    }
-
-    fn cluster_report_sane(report: &ThreadedReport) {
-        for edge in &report.edges {
-            for (bid, digest, edge_proof, certified) in &edge.blocks {
-                assert_eq!(certified.as_ref(), Some(digest), "block {bid} certified honestly");
-                assert_eq!(edge_proof.as_ref(), Some(digest), "block {bid} proof attached");
-            }
-        }
+        s::n_edges_partition_data::<MemLink>();
     }
 
     #[test]
     fn threaded_gossip_reaches_clients_via_engine_deadline() {
-        // No driver schedules gossip: the cadence lives in the cloud
-        // engine, the thread just sleeps until the engine's deadline.
-        let cluster = ThreadedCluster::start(ThreadedConfig {
-            batch_size: 1,
-            gossip_period: Some(Duration::from_millis(5)),
-            ..ThreadedConfig::default()
-        });
-        for k in 0..3u64 {
-            let reply = cluster.put(k, b"v".to_vec()).unwrap();
-            let _ = reply.certified.recv_timeout(Duration::from_secs(5)).unwrap();
-        }
-        // Let at least one gossip round fire after the last cert.
-        std::thread::sleep(Duration::from_millis(30));
-        let report = cluster.shutdown().expect("report");
-        assert!(report.cloud_stats.gossip_rounds >= 1, "engine-owned gossip fired");
-        assert_eq!(
-            report.edges[0].watermark_len,
-            Some(3),
-            "client holds the freshest watermark (certified prefix)"
-        );
+        s::gossip_reaches_clients_via_engine_deadline::<MemLink>();
+    }
+
+    #[test]
+    fn threaded_gossip_and_dispute() {
+        s::gossip_and_dispute::<MemLink>();
     }
 
     #[test]
     fn threaded_admission_sheds_puts_instead_of_blocking() {
-        // A slow edge (20 ms per cloud message) with a tiny inbox and
-        // a 1 ms gossip flood keeps the edge inbox full, so Phase I
-        // lags far past the 2 ms admission timeout: `try_put_on` must
-        // shed (fail fast) rather than wedge the caller — while
-        // `put_on`'s blocking contract is untouched. A shed put is not
-        // cancelled, so every key must still become readable.
-        let cluster = ThreadedCluster::start(ThreadedConfig {
-            batch_size: 1,
-            gossip_period: Some(Duration::from_millis(1)),
-            edge_apply_latency: Duration::from_millis(20),
-            edge_inbox_cap: 2,
-            admission_timeout: Some(Duration::from_millis(2)),
-            ..ThreadedConfig::default()
-        });
-        let mut shed = 0u64;
-        for k in 0..8u64 {
-            match cluster.try_put_on(0, k, vec![k as u8]) {
-                Ok(Some(_)) | Ok(None) => {}
-                Err(PutShed::AdmissionTimeout) => shed += 1,
-                Err(PutShed::Rejected) => panic!("batches must not be rejected here"),
-            }
-        }
-        assert!(shed > 0, "an overloaded edge must shed puts, not block the caller");
-        // Shed puts still commit: wait for the pipeline to drain, then
-        // read everything back.
-        for k in 0..8u64 {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                if cluster.get(k).unwrap().value == Some(vec![k as u8]) {
-                    break;
-                }
-                assert!(Instant::now() < deadline, "key {k} never committed");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        let report = cluster.shutdown().expect("report");
-        assert_eq!(report.puts_shed, shed, "every shed counted exactly once");
-        assert_eq!(report.edges[0].edge_stats.blocks_sealed, 8, "shed puts still sealed");
+        s::admission_sheds_puts_instead_of_blocking::<MemLink>();
     }
 
     #[test]
     fn threaded_backpressure_sheds_gossip_but_defers_proofs() {
-        // A slow edge (5 ms per cloud message) with a tiny inbox and a
-        // 1 ms gossip cadence: the cloud must shed gossip, but every
-        // certification proof must still arrive (deferred, not lost).
-        let cluster = ThreadedCluster::start(ThreadedConfig {
-            batch_size: 1,
-            gossip_period: Some(Duration::from_millis(1)),
-            edge_apply_latency: Duration::from_millis(5),
-            edge_inbox_cap: 2,
-            ..ThreadedConfig::default()
-        });
-        let mut replies = Vec::new();
-        for k in 0..6u64 {
-            replies.push(cluster.put(k, vec![k as u8]).unwrap());
-        }
-        for reply in replies {
-            let proof = reply.certified.recv_timeout(Duration::from_secs(10)).unwrap();
-            assert_eq!(proof.digest, reply.receipt.block_digest, "no proof lost to shedding");
-        }
-        // Keep the gossip flood running against the slow edge a while.
-        std::thread::sleep(Duration::from_millis(100));
-        let report = cluster.shutdown().expect("report");
-        assert!(
-            report.shed_cloud_msgs > 0,
-            "overloaded edge inbox must shed droppable traffic (shed {}, deferred {})",
-            report.shed_cloud_msgs,
-            report.deferred_cloud_msgs
-        );
-        assert_eq!(report.edges[0].certified_len, 6, "certification complete despite overload");
+        s::backpressure_sheds_gossip_but_defers_proofs::<MemLink>();
+    }
+
+    #[test]
+    fn threaded_merge_replies_are_delta_encoded() {
+        s::merge_replies_are_delta_encoded::<MemLink>();
+    }
+
+    #[test]
+    fn threaded_oversized_full_request_merges_as_small_delta() {
+        s::oversized_full_request_merges_as_small_delta::<MemLink>();
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot combine")]
+    fn threaded_seal_times_reject_merge_retry() {
+        s::seal_times_reject_merge_retry::<MemLink>();
     }
 }

@@ -17,7 +17,9 @@
 //! streams (matching `wedge-log/tests/wire_roundtrip.rs`).
 
 use std::sync::Arc;
-use wedge_core::messages::{AddReceipt, Dispute, DisputeVerdict, ReadReceipt, WireMsg};
+use wedge_core::messages::{
+    AddReceipt, Dispute, DisputeVerdict, ReadReceipt, WireMsg, RETIRED_WIRE_TAGS,
+};
 use wedge_crypto::{sha256, Digest, Identity, IdentityId, InclusionProof, Signature};
 use wedge_log::{
     Block, BlockId, BlockProof, DecodeError, Entry, GossipWatermark, FRAME_HEADER_LEN,
@@ -331,7 +333,6 @@ fn arb_all_variants(rng: &mut Rng) -> Vec<WireMsg> {
         },
         WireMsg::MergeReq(Box::new(arb_merge_request(rng))),
         WireMsg::BlockProofMsg(arb_block_proof(rng)),
-        WireMsg::MergeRes(Box::new(arb_merge_result(rng))),
         WireMsg::CertRejected { bid: BlockId(rng.next()) },
         WireMsg::GlobalRefresh(arb_global(rng)),
         WireMsg::DisputeMsg(Box::new(arb_dispute(rng))),
@@ -348,13 +349,36 @@ fn arb_all_variants(rng: &mut Rng) -> Vec<WireMsg> {
 }
 
 #[test]
-fn all_20_variants_covered() {
+fn all_live_variants_covered() {
     let mut rng = Rng::new(0);
     let msgs = arb_all_variants(&mut rng);
     let mut kinds: Vec<u8> = msgs.iter().map(|m| m.kind()).collect();
     kinds.sort_unstable();
     kinds.dedup();
-    assert_eq!(kinds, (1..=20).collect::<Vec<u8>>(), "one instance per variant, no gaps");
+    // Tags 1..=20 were allocated; every one is a live variant here
+    // unless it is retired.
+    let retired: Vec<u8> = RETIRED_WIRE_TAGS.iter().map(|(tag, _)| *tag).collect();
+    let live: Vec<u8> = (1..=20).filter(|tag| !retired.contains(tag)).collect();
+    assert_eq!(kinds, live, "one instance per live variant, no gaps");
+}
+
+#[test]
+fn retired_kind_is_rejected_as_unknown() {
+    // A well-formed full merge reply under its old tag 12: the tag is
+    // retired, so the frame is rejected exactly like a tag no message
+    // ever had — never decoded as a merge result.
+    let mut rng = Rng::new(7);
+    let mut enc = wedge_log::Encoder::default();
+    arb_merge_result(&mut rng).encode_into(&mut enc);
+    let payload = enc.finish();
+    for (kind, name) in RETIRED_WIRE_TAGS {
+        let frame = wedge_log::Frame { kind, payload: payload.clone() }.encode();
+        assert_eq!(
+            WireMsg::decode_frame(&frame),
+            Err(DecodeError::Malformed("unknown message kind")),
+            "retired tag {kind} ({name}) must be rejected as unknown"
+        );
+    }
 }
 
 #[test]
@@ -706,15 +730,18 @@ mod delta_resolution {
 
         // The full reply is genuinely over the frame cap: the old
         // representation could not have been sent at all.
-        let full = WireMsg::MergeRes(Box::new(res2.clone()));
-        let full_payload = full.encode_payload();
+        let mut enc = wedge_log::Encoder::default();
+        res2.encode_into(&mut enc);
+        let full_payload = enc.finish();
+        assert_eq!(full_payload.len(), res2.encoded_len());
         assert!(
             full_payload.len() > MAX_FRAME_PAYLOAD as usize,
             "full reply must exceed the cap ({} <= {MAX_FRAME_PAYLOAD})",
             full_payload.len()
         );
         let mut sink = Vec::new();
-        let err = write_frame(&mut sink, full.kind(), &full_payload).unwrap_err();
+        // Under its retired tag 12, as it was once shipped.
+        let err = write_frame(&mut sink, 12, &full_payload).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "write_frame refuses it");
 
         // The delta reply for the same merge is tiny and round-trips.

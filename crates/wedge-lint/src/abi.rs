@@ -6,9 +6,13 @@
 //! renumbering, deleting, or reusing a tag silently breaks every
 //! deployed peer. `WIRE_ABI.lock` pins the mapping; this module
 //! extracts the live mapping from source, parses the committed lock,
-//! and diffs the two with append-only semantics — the only legal
-//! change is a brand-new tag strictly greater than everything
-//! already locked (plus the matching lockfile regeneration).
+//! and diffs the two with append-only semantics. The legal changes
+//! are a brand-new tag strictly greater than everything already
+//! allocated, and retiring a tag: moving it, with its name, from
+//! `[tags]` to `[retired]` (declared in source as
+//! `RETIRED_WIRE_TAGS`). A retired number or name is never reused and
+//! never leaves `[retired]`. Either change is followed by the matching
+//! lockfile regeneration.
 
 use crate::rules::Violation;
 
@@ -28,6 +32,8 @@ pub struct WireAbi {
     /// Sorted by tag. `(tag, variant, source_line)` — the line is 0
     /// for manifests parsed from a lockfile.
     pub tags: Vec<(u8, String, usize)>,
+    /// Tags no longer in use, same shape, sorted by tag.
+    pub retired: Vec<(u8, String, usize)>,
 }
 
 impl WireAbi {
@@ -38,10 +44,12 @@ impl WireAbi {
         let mut out = String::new();
         out.push_str("# WIRE_ABI.lock — machine-checked wire-ABI manifest.\n");
         out.push_str("#\n");
-        out.push_str("# Envelope tags are append-only: adding a NEW tag greater than every\n");
-        out.push_str("# tag below (then regenerating this file) is the only legal change.\n");
-        out.push_str("# Renumbering, deleting, renaming, or reusing a tag is a silent ABI\n");
-        out.push_str("# break and fails `wedge-lint`.\n");
+        out.push_str("# Envelope tags are append-only: the legal changes are adding a NEW\n");
+        out.push_str("# tag greater than every tag below, and retiring a tag by moving it,\n");
+        out.push_str("# name and all, from [tags] to [retired] (RETIRED_WIRE_TAGS in\n");
+        out.push_str("# messages.rs), then regenerating this file. Renumbering, deleting,\n");
+        out.push_str("# renaming, or reusing a tag, or reusing a retired number or name, is\n");
+        out.push_str("# a silent ABI break and fails `wedge-lint`.\n");
         out.push_str("#\n");
         out.push_str("# Regenerate: cargo run -p wedge-lint -- --write-abi\n");
         out.push_str("\n[envelope]\n");
@@ -49,9 +57,11 @@ impl WireAbi {
         out.push_str(&format!("version = {}\n", self.version));
         out.push_str(&format!("header_len = {}\n", self.header_len));
         out.push_str(&format!("max_payload = {}\n", self.max_payload));
-        out.push_str("\n[tags]\n");
-        for (tag, name, _) in &self.tags {
-            out.push_str(&format!("{tag} = {name}\n"));
+        for (section, entries) in [("tags", &self.tags), ("retired", &self.retired)] {
+            out.push_str(&format!("\n[{section}]\n"));
+            for (tag, name, _) in entries {
+                out.push_str(&format!("{tag} = {name}\n"));
+            }
         }
         out
     }
@@ -63,6 +73,7 @@ impl WireAbi {
         let mut header_len = None;
         let mut max_payload = None;
         let mut tags: Vec<(u8, String, usize)> = Vec::new();
+        let mut retired: Vec<(u8, String, usize)> = Vec::new();
         let mut section = "";
         for (n, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -73,6 +84,7 @@ impl WireAbi {
                 section = match name {
                     "envelope" => "envelope",
                     "tags" => "tags",
+                    "retired" => "retired",
                     other => return Err(format!("line {}: unknown section [{other}]", n + 1)),
                 };
                 continue;
@@ -89,23 +101,26 @@ impl WireAbi {
                     "max_payload" => max_payload = Some(parse_u64(value, n + 1)?),
                     other => return Err(format!("line {}: unknown envelope key {other}", n + 1)),
                 },
-                "tags" => {
+                "tags" | "retired" => {
                     let tag = parse_u64(key, n + 1)?;
                     if tag == 0 || tag > u8::MAX as u64 {
                         return Err(format!("line {}: tag {tag} out of range", n + 1));
                     }
-                    tags.push((tag as u8, value.to_string(), 0));
+                    let list = if section == "tags" { &mut tags } else { &mut retired };
+                    list.push((tag as u8, value.to_string(), 0));
                 }
                 _ => return Err(format!("line {}: entry before any [section]", n + 1)),
             }
         }
         tags.sort_by_key(|(tag, _, _)| *tag);
+        retired.sort_by_key(|(tag, _, _)| *tag);
         Ok(WireAbi {
             magic: magic.ok_or("missing envelope.magic")?,
             version: version.ok_or("missing envelope.version")?,
             header_len: header_len.ok_or("missing envelope.header_len")?,
             max_payload: max_payload.ok_or("missing envelope.max_payload")?,
             tags,
+            retired,
         })
     }
 }
@@ -118,6 +133,7 @@ fn parse_u64(s: &str, line: usize) -> Result<u64, String> {
 /// source (string literals matter here — the magic is one).
 pub fn extract(messages_src: &str, frame_src: &str) -> Result<WireAbi, String> {
     let tags = extract_tags(messages_src)?;
+    let retired = extract_retired(messages_src)?;
     let magic =
         find_str_const(frame_src, "FRAME_MAGIC").ok_or("FRAME_MAGIC not found in frame.rs")?;
     let version =
@@ -126,7 +142,34 @@ pub fn extract(messages_src: &str, frame_src: &str) -> Result<WireAbi, String> {
         .ok_or("FRAME_HEADER_LEN not found in frame.rs")?;
     let max_payload = find_int_const(frame_src, "MAX_FRAME_PAYLOAD")
         .ok_or("MAX_FRAME_PAYLOAD not found in frame.rs")?;
-    Ok(WireAbi { magic, version, header_len, max_payload, tags })
+    Ok(WireAbi { magic, version, header_len, max_payload, tags, retired })
+}
+
+/// Parses `RETIRED_WIRE_TAGS`: the `(N, "Name")` tuples between its
+/// `=` and the closing `];`. A source without the constant has
+/// retired nothing.
+fn extract_retired(messages_src: &str) -> Result<Vec<(u8, String, usize)>, String> {
+    let lines: Vec<&str> = messages_src.lines().collect();
+    let Some(start) =
+        lines.iter().position(|l| l.contains("const RETIRED_WIRE_TAGS") && l.contains('='))
+    else {
+        return Ok(Vec::new());
+    };
+    let mut retired = Vec::new();
+    for (off, line) in lines.iter().enumerate().skip(start) {
+        let body = if off == start { line.split_once('=').map_or("", |(_, r)| r) } else { line };
+        for tuple in body.split('(').skip(1) {
+            let Some((tag, rest)) = tuple.split_once(',') else { continue };
+            let name = rest.split('"').nth(1).ok_or("RETIRED_WIRE_TAGS entry without a name")?;
+            let tag: u8 = tag.trim().parse().map_err(|_| format!("bad retired tag `{tag}`"))?;
+            retired.push((tag, name.to_string(), off + 1));
+        }
+        if body.contains("];") {
+            break;
+        }
+    }
+    retired.sort_by_key(|(tag, _, _)| *tag);
+    Ok(retired)
 }
 
 /// Parses the arms of `WireMsg::kind()`: `WireMsg::Name { .. } => N,`.
@@ -251,30 +294,87 @@ pub fn check(committed: &WireAbi, current: &WireAbi) -> Vec<Violation> {
             );
         }
     }
-    let max_locked = committed.tags.iter().map(|(t, _, _)| *t).max().unwrap_or(0);
+    let find = |list: &[(u8, String, usize)], tag: u8| {
+        list.iter().find(|(t, _, _)| *t == tag).map(|(_, name, line)| (name.clone(), *line))
+    };
     for (tag, name, _) in &committed.tags {
-        match current.tags.iter().find(|(t, _, _)| t == tag) {
-            None => push(
+        match (find(&current.tags, *tag), find(&current.retired, *tag)) {
+            (Some((live, line)), _) | (None, Some((live, line))) if live != *name => push(
+                MESSAGES_PATH,
+                line,
+                format!(
+                    "tag {tag} is locked as {name} but source says {live} — a tag's \
+                     meaning is frozen at first ship"
+                ),
+            ),
+            (Some(_), _) | (None, Some(_)) => {}
+            (None, None) => push(
                 MESSAGES_PATH,
                 1,
                 format!(
                     "tag {tag} ({name}) is locked but gone from kind() — deleting or \
-                     renumbering a shipped tag breaks the wire ABI; retired variants keep \
-                     their tag forever"
+                     renumbering a shipped tag breaks the wire ABI; a tag leaves [tags] \
+                     only by moving to RETIRED_WIRE_TAGS"
                 ),
             ),
-            Some((_, live_name, line)) if live_name != name => push(
+        }
+    }
+    for (tag, name, _) in &committed.retired {
+        match find(&current.retired, *tag) {
+            Some((live, _)) if live == *name => {}
+            Some((live, line)) => push(
+                MESSAGES_PATH,
+                line,
+                format!(
+                    "retired tag {tag} is locked as {name} but source says {live} — a \
+                     tag's meaning is frozen at first ship"
+                ),
+            ),
+            None => push(
+                MESSAGES_PATH,
+                1,
+                format!(
+                    "retired tag {tag} ({name}) left RETIRED_WIRE_TAGS — retirement is \
+                     permanent"
+                ),
+            ),
+        }
+    }
+    for (tag, name, line) in &current.retired {
+        let shipped = committed.tags.iter().chain(&committed.retired).any(|(t, _, _)| t == tag);
+        if !shipped {
+            push(
+                MESSAGES_PATH,
+                *line,
+                format!("retired tag {tag} ({name}) was never locked — only a shipped tag retires"),
+            );
+        }
+    }
+    let retired: Vec<&(u8, String, usize)> =
+        committed.retired.iter().chain(&current.retired).collect();
+    let max_locked = committed.tags.iter().chain(&committed.retired).map(|(t, _, _)| *t).max();
+    let max_locked = max_locked.unwrap_or(0);
+    for (tag, name, line) in &current.tags {
+        if let Some((_, was, _)) = retired.iter().find(|(t, _, _)| t == tag) {
+            push(
                 MESSAGES_PATH,
                 *line,
                 format!(
-                    "tag {tag} is locked as {name} but source says {live_name} — a tag's \
-                     meaning is frozen at first ship"
+                    "tag {tag} is retired (it was {was}) — a retired number is never \
+                     reused; append tag {} instead",
+                    max_locked + 1
                 ),
-            ),
-            Some(_) => {}
+            );
+            continue;
         }
-    }
-    for (tag, name, line) in &current.tags {
+        if retired.iter().any(|(_, was, _)| was == name) {
+            push(
+                MESSAGES_PATH,
+                *line,
+                format!("variant name {name} is retired — a retired name is never reused"),
+            );
+            continue;
+        }
         if committed.tags.iter().any(|(t, _, _)| t == tag) {
             continue;
         }

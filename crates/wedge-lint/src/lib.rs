@@ -14,7 +14,7 @@
 //!
 //! | rule | invariant |
 //! |---|---|
-//! | `wire-abi` | envelope tags are append-only, pinned by `WIRE_ABI.lock` |
+//! | `wire-abi` | envelope tags are append-only, pinned by `WIRE_ABI.lock`; retired tags are never reused |
 //! | `sans-io-purity` | engines/protocol layers take time as an argument, never do IO |
 //! | `nondet-iter` | no order-leaking `HashMap`/`HashSet` iteration in protocol crates |
 //! | `discarded-result` | no `let _ =` on send/write/shutdown in the transports |
@@ -114,8 +114,9 @@ pub fn check_abi(root: &Path) -> io::Result<Vec<Violation>> {
 }
 
 /// Regenerates `WIRE_ABI.lock` from source. Refuses to *remove* or
-/// rename locked tags — append-only holds even for the writer; a
-/// genuinely retired variant keeps its tag and name in both places.
+/// rename locked tags — append-only holds even for the writer: a tag
+/// leaves `[tags]` only into `[retired]` (`RETIRED_WIRE_TAGS` in
+/// source), and nothing ever leaves `[retired]`.
 pub fn write_abi(root: &Path) -> io::Result<Result<String, String>> {
     let current = match current_abi(root)? {
         Ok(abi) => abi,
@@ -124,21 +125,33 @@ pub fn write_abi(root: &Path) -> io::Result<Result<String, String>> {
     let lock_path = root.join(abi::LOCK_PATH);
     if let Ok(text) = fs::read_to_string(&lock_path) {
         if let Ok(committed) = abi::WireAbi::parse(&text) {
+            let find = |list: &[(u8, String, usize)], tag: u8| {
+                list.iter().find(|(t, _, _)| *t == tag).map(|(_, name, _)| name.clone())
+            };
             for (tag, name, _) in &committed.tags {
-                match current.tags.iter().find(|(t, _, _)| t == tag) {
+                match find(&current.tags, *tag).or_else(|| find(&current.retired, *tag)) {
                     None => {
                         return Ok(Err(format!(
                             "refusing to drop locked tag {tag} ({name}) — tags are \
-                             append-only; restore the variant or keep its tag reserved"
+                             append-only; restore the variant or retire it in \
+                             RETIRED_WIRE_TAGS"
                         )));
                     }
-                    Some((_, live, _)) if live != name => {
+                    Some(live) if live != *name => {
                         return Ok(Err(format!(
                             "refusing to rename locked tag {tag}: {name} -> {live} — a \
                              tag's meaning is frozen at first ship"
                         )));
                     }
                     Some(_) => {}
+                }
+            }
+            for (tag, name, _) in &committed.retired {
+                if find(&current.retired, *tag).as_ref() != Some(name) {
+                    return Ok(Err(format!(
+                        "refusing to drop or rename retired tag {tag} ({name}) — \
+                         retirement is permanent"
+                    )));
                 }
             }
         }

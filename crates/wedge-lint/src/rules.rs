@@ -284,16 +284,16 @@ fn nondet_iter(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
+/// The real-time driver: the shared cluster and both links, by
+/// directory, so a file added there is in scope without naming it.
+const DRIVER_SCOPE: [&str; 2] = ["crates/wedge-core/src/driver/", "crates/wedge-net/src/"];
+
 /// R4 `discarded-result`: PR 5's root cause — `let _ =` swallowing a
 /// failed `write_frame` silently wedged a partition. In the transport
 /// layers, a discarded send/write/shutdown result must either be
 /// counted or carry an annotation explaining why loss is benign.
 fn discarded_result(file: &SourceFile, out: &mut Vec<Violation>) {
-    let p = &file.rel_path;
-    let in_scope = p.starts_with("crates/wedge-net/src/")
-        || p == "crates/wedge-core/src/threaded.rs"
-        || p == "crates/wedge-core/src/driver.rs";
-    if !in_scope {
+    if !DRIVER_SCOPE.iter().any(|s| file.rel_path.starts_with(s)) {
         return;
     }
     const SINKS: [&str; 7] =
@@ -333,11 +333,9 @@ fn discarded_result(file: &SourceFile, out: &mut Vec<Violation>) {
 /// annotation arguing unreachability.
 fn no_panic_path(file: &SourceFile, out: &mut Vec<Violation>) {
     let p = &file.rel_path;
-    let in_scope = p.starts_with("crates/wedge-core/src/engine/")
-        || p.starts_with("crates/wedge-net/src/")
-        || p == "crates/wedge-core/src/threaded.rs"
-        || p == "crates/wedge-core/src/driver.rs";
-    if !in_scope {
+    if !p.starts_with("crates/wedge-core/src/engine/")
+        && !DRIVER_SCOPE.iter().any(|s| p.starts_with(s))
+    {
         return;
     }
     const BANNED: [&str; 4] = [".unwrap()", ".expect(", "panic!(", "unreachable!("];

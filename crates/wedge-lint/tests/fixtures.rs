@@ -228,10 +228,24 @@ fn f(tx: Sender<u8>) {
 }
 ";
     assert_eq!(fired("crates/wedge-net/src/fixture.rs", src), ["discarded-result"]);
-    assert_eq!(fired("crates/wedge-core/src/threaded.rs", src), ["discarded-result"]);
+    assert_eq!(fired("crates/wedge-core/src/driver/cluster.rs", src), ["discarded-result"]);
     // Out of the transport scope: the engines return effects, they
     // don't send, so the rule does not apply there.
     assert_clean("crates/wedge-core/src/engine/fixture.rs", src);
+}
+
+#[test]
+fn driver_rules_cover_every_file_under_the_driver_directories() {
+    // Scope is by directory: a file added next to the shared cluster,
+    // or a new link in wedge-net, is checked without being named.
+    let send = "fn f(tx: Sender<u8>) {\n    let _ = tx.send(1);\n}\n";
+    let unwrap = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+    for path in ["crates/wedge-core/src/driver/new_link.rs", "crates/wedge-net/src/quic.rs"] {
+        assert_eq!(fired(path, send), ["discarded-result"], "{path}");
+        assert_eq!(fired(path, unwrap), ["no-panic-path"], "{path}");
+    }
+    // A sibling module outside the directory is not driver code.
+    assert_clean("crates/wedge-core/src/driverless.rs", unwrap);
 }
 
 #[test]
@@ -386,6 +400,16 @@ fn abi_fixture() -> abi::WireAbi {
         header_len: 10,
         max_payload: 16 * 1024 * 1024,
         tags: vec![(1, "BatchAdd".into(), 10), (2, "LogRead".into(), 11), (3, "Get".into(), 12)],
+        retired: vec![],
+    }
+}
+
+/// `abi_fixture` after LogRead (tag 2) was retired.
+fn retired_fixture() -> abi::WireAbi {
+    abi::WireAbi {
+        tags: vec![(1, "BatchAdd".into(), 10), (3, "Get".into(), 12)],
+        retired: vec![(2, "LogRead".into(), 30)],
+        ..abi_fixture()
     }
 }
 
@@ -459,6 +483,78 @@ fn reusing_a_retired_number_is_flagged() {
     let v = abi::check(&committed, &live);
     assert_eq!(v.len(), 1);
     assert!(v[0].msg.contains("never be reassigned"), "got {}", v[0].msg);
+}
+
+#[test]
+fn retiring_a_tag_moves_it_to_retired() {
+    // Source retires tag 2: legal against the lock that still lists it
+    // under [tags], and against the regenerated lock.
+    assert!(abi::check(&abi_fixture(), &retired_fixture()).is_empty());
+    assert!(abi::check(&retired_fixture(), &retired_fixture()).is_empty());
+    // The regenerated lock carries the [retired] section and parses
+    // back to the same manifest.
+    let text = retired_fixture().render();
+    assert!(text.contains("\n[retired]\n2 = LogRead\n"), "got:\n{text}");
+    let back = abi::WireAbi::parse(&text).expect("parse");
+    assert_eq!(
+        back.retired.iter().map(|(t, n, _)| (*t, n.as_str())).collect::<Vec<_>>(),
+        [(2, "LogRead")]
+    );
+    assert_eq!(back.render(), text);
+}
+
+#[test]
+fn retiring_under_another_name_is_flagged() {
+    let mut live = retired_fixture();
+    live.retired[0].1 = "LogReadV2".into();
+    let v = abi::check(&abi_fixture(), &live);
+    assert_eq!(v.len(), 1, "got {v:?}");
+    assert!(v[0].msg.contains("frozen at first ship"), "got {}", v[0].msg);
+}
+
+#[test]
+fn a_retired_number_can_never_be_reused() {
+    for committed in [abi_fixture(), retired_fixture()] {
+        let mut live = retired_fixture();
+        live.tags.push((2, "Brand".into(), 44));
+        live.tags.sort_by_key(|(t, _, _)| *t);
+        let v = abi::check(&committed, &live);
+        assert!(
+            v.iter().any(|f| f.line == 44 && f.msg.contains("retired number is never reused")),
+            "got {v:?}"
+        );
+    }
+}
+
+#[test]
+fn a_retired_name_can_never_be_reused() {
+    let mut live = retired_fixture();
+    live.tags.push((4, "LogRead".into(), 45));
+    let v = abi::check(&retired_fixture(), &live);
+    assert_eq!(v.len(), 1, "got {v:?}");
+    assert!(v[0].msg.contains("retired name is never reused"), "got {}", v[0].msg);
+}
+
+#[test]
+fn a_retired_tag_never_leaves_retired() {
+    // Dropping it from source, or bringing the variant back.
+    let mut dropped = retired_fixture();
+    dropped.retired.clear();
+    let mut restored = abi_fixture();
+    restored.tags[1].2 = 11;
+    for live in [dropped, restored] {
+        let v = abi::check(&retired_fixture(), &live);
+        assert!(v.iter().any(|f| f.msg.contains("retirement is permanent")), "got {v:?}");
+    }
+}
+
+#[test]
+fn only_a_shipped_tag_can_retire() {
+    let mut live = abi_fixture();
+    live.retired.push((9, "NeverShipped".into(), 31));
+    let v = abi::check(&abi_fixture(), &live);
+    assert_eq!(v.len(), 1, "got {v:?}");
+    assert!(v[0].msg.contains("never locked"), "got {}", v[0].msg);
 }
 
 #[test]

@@ -1,15 +1,15 @@
 //! # wedge-net
 //!
-//! The networked WedgeChain runtime: the *same* sans-IO protocol
-//! engines ([`wedge_core::engine`]) that power the deterministic
-//! simulator and the threaded runtime, now behind **real TCP
-//! sockets**. This is the third driver, and the proof that the
-//! engines are genuinely transport-independent: one protocol, three
-//! transports.
+//! The TCP link for the WedgeChain cluster: the *same* cluster
+//! ([`wedge_core::driver::Cluster`]) that runs in process, with every
+//! protocol message crossing a real loopback socket. One cluster, two
+//! links — [`wedge_core::driver::MemLink`] moves values between
+//! inboxes, [`TcpLink`] frames bytes onto sockets — and one
+//! backpressure policy, owned by the cluster. [`NetCluster`] is the
+//! cluster over this link.
 //!
-//! Topology ([`NetCluster`]): one cloud node, `num_edges` edge nodes,
-//! and one client node per edge, each a service thread in this
-//! process, talking **only** through `std::net` loopback TCP:
+//! Topology: one cloud node, `num_edges` edge nodes, and one client
+//! node per edge, each a service thread in this process:
 //!
 //! ```text
 //!   client p ──TCP──▶ edge p ──TCP──▶ cloud
@@ -19,165 +19,42 @@
 //! Every message on those connections is a [`WireMsg`] inside the
 //! length-framed envelope of [`wedge_log::frame`] (magic, version,
 //! type tag, guarded payload length) — the canonical byte format,
-//! decoded with hostile-input checks on every hop. The harness
-//! control surface ([`NetCluster::put_on`], [`NetCluster::get_on`],
-//! …) stays in-process by construction: control commands have no wire
-//! encoding.
+//! decoded with hostile-input checks on every hop. The caller surface
+//! (`put_on`, `get_on`, …) stays in process: control commands have no
+//! wire encoding.
 //!
-//! Each node runs one *service thread* owning its engine plus one
-//! *reader thread* per inbound connection. Readers block on
-//! [`wedge_log::read_frame`], decode, and forward into the service's
-//! inbox; the service consumes the engine's `next_deadline_ns()` as a
-//! receive timeout on that inbox (exactly the threaded runtime's
-//! discipline), so gossip cadence, certification/merge retries and
-//! dispute timeouts run through the same engine-owned clocks as every
-//! other runtime. Writes go through a per-connection scratch buffer
-//! ([`Conn`]): each frame is packed `[header | payload]` contiguously
-//! via `WireMsg::append_frame_to`, and every frame a service wakeup
-//! queues for the same peer coalesces into one `write_all`
-//! (`TCP_NODELAY` set), from the service thread only. The service
-//! loops drain their inbox greedily (up to a budget) per wakeup, so
-//! pipelined traffic turns into multi-frame writes — counted in
-//! [`NetReport::coalesced_frames`].
-//!
-//! Backpressure mirrors the threaded runtime's design at the
-//! transport boundary: the cloud and edge inboxes are **bounded**
-//! (`cloud_inbox_cap`/`edge_inbox_cap`), so a reader that cannot
-//! enqueue stops reading and TCP's own flow control pushes back on
-//! the sender — with one deliberate exception. The edge's
-//! *from-cloud* reader never blocks (a cloud unable to make progress
-//! toward one edge must not stall the whole cluster): on a full edge
-//! inbox it *sheds* droppable traffic (gossip, freshness refreshes —
-//! the next round re-issues them) and *defers* critical traffic
-//! (proofs, merge results) in an in-memory queue flushed by a
-//! per-edge flusher thread, both counted in [`NetReport`].
+//! Each connection opens with a hello naming the dialing peer. Each
+//! end then has one *reader thread* that blocks on
+//! [`wedge_log::read_frame_into`], decodes, and hands the message to
+//! the receiving service's inbox through the cluster's [`Sink`]: a
+//! full bounded inbox stops the reader, and TCP flow control pushes
+//! back on the writer — except toward an edge from the cloud, where
+//! the cluster's gate never blocks. Writes come from the service
+//! thread only: each frame is packed `[header | payload]` into the
+//! link's scratch buffer, and every frame a service wakeup queues for
+//! the same peer leaves in one `write_all` (`TCP_NODELAY` set) —
+//! counted in [`NetReport::coalesced_frames`].
 
 #![forbid(unsafe_code)]
 
-use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{Shutdown as SockShutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-use wedge_core::config::CryptoMode;
-use wedge_core::cost::CostModel;
-use wedge_core::driver::{
-    elapsed_ns, recv_until, ClientCompletions, Inbox, PutBatcher, PutOps, PutReply,
-};
-use wedge_core::engine::{
-    ClientCommand, ClientEngine, ClientPlan, CloudCommand, CloudEffect, CloudEngine, EdgeCommand,
-    EdgeEffect, EdgeEngine, GetOutcome,
-};
-use wedge_core::fault::FaultPlan;
-use wedge_core::harness::client_workload_seed;
+use wedge_core::driver::{Cluster, ClusterConfig, ClusterReport, Endpoint, Link, LinkStats, Sink};
 use wedge_core::messages::WireMsg;
-use wedge_core::threaded::{EdgeRunReport, PutShed};
-use wedge_crypto::{Identity, IdentityId, KeyRegistry};
-use wedge_log::{
-    read_frame, read_frame_into, write_frame, BlockId, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
-};
-use wedge_lsmerkle::{
-    CloudIndex, CompactionStats, LsMerkle, LsmConfig, ProofError, ShardedReadProofCache,
-};
+use wedge_log::{read_frame, read_frame_into, write_frame, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 
 pub use wedge_core::engine::CloudStats;
 
-/// Configuration for the socket runtime. Mirrors
-/// [`wedge_core::threaded::ThreadedConfig`] so the differential test
-/// can replay one scripted workload across all three runtimes.
-#[derive(Clone, Debug)]
-pub struct NetConfig {
-    /// LSMerkle shape.
-    pub lsm: LsmConfig,
-    /// Number of edge partitions (each with an edge node and a client
-    /// node, all behind their own sockets).
-    pub num_edges: usize,
-    /// Operations per sealed block (caller-side batching).
-    pub batch_size: usize,
-    /// Scripted `sealed_at_ns` per edge, in seal order (reproducible
-    /// block digests for the differential test). Falls back to the
-    /// wall clock when exhausted.
-    pub seal_times: Option<Vec<Vec<u64>>>,
-    /// Scripted misbehaviour per edge (missing entries are honest).
-    pub faults: Vec<FaultPlan>,
-    /// Cloud gossip cadence; `None` disables gossip. Engine-owned.
-    pub gossip_period: Option<Duration>,
-    /// How long a client waits for Phase II before disputing.
-    pub dispute_timeout: Duration,
-    /// Edge certification retry interval; `None` disables retries.
-    pub cert_retry: Option<Duration>,
-    /// Edge merge-request retry interval; `None` disables retries.
-    pub merge_retry: Option<Duration>,
-    /// Background compaction sweep period; `None` disables it. Each
-    /// sweep an idle edge asks the cloud to fold fragmented levels
-    /// back to whole pages. Engine-owned, like the retry clocks.
-    pub compaction_period: Option<Duration>,
-    /// Client read-freshness window (§V-D); `None` disables the check.
-    pub freshness_window: Option<Duration>,
-    /// Put batches each client keeps in flight (≥ 1).
-    pub pipeline_depth: usize,
-    /// Injected processing latency per cloud→edge message at the edge
-    /// (slows the edge's drain rate; used to exercise backpressure).
-    pub edge_apply_latency: Duration,
-    /// Capacity of the cloud service's inbox. A full inbox blocks the
-    /// cloud-facing readers, which is TCP backpressure onto edges and
-    /// clients.
-    pub cloud_inbox_cap: usize,
-    /// Capacity of each edge service's inbox. Full: the client-facing
-    /// reader blocks (backpressure to the client); the cloud-facing
-    /// reader sheds/defers instead (see module docs).
-    pub edge_inbox_cap: usize,
-    /// Per-caller admission control for [`NetCluster::try_put_on`]:
-    /// how long a caller waits for Phase I before the put is *shed*
-    /// (counted in [`NetReport::puts_shed`]) instead of blocking
-    /// forever behind a full edge inbox. `None` keeps the blocking
-    /// behaviour for `try_put_on` too. Mirrors
-    /// `ThreadedConfig::admission_timeout`.
-    pub admission_timeout: Option<Duration>,
-    /// Worker-pool width for the hash/verify hot paths (cloud merge
-    /// rebuilds, edge forest rebuilds, batched signature checks).
-    /// Defaults from `WEDGE_POOL_THREADS` (1 when unset = inline).
-    /// Results are byte-identical for every width. Mirrors
-    /// `ThreadedConfig::pool_threads`.
-    pub pool_threads: usize,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            lsm: LsmConfig::exposition(),
-            num_edges: 1,
-            batch_size: 4,
-            seal_times: None,
-            faults: Vec::new(),
-            gossip_period: None,
-            dispute_timeout: Duration::from_secs(30),
-            cert_retry: None,
-            merge_retry: None,
-            compaction_period: None,
-            freshness_window: None,
-            pipeline_depth: 1,
-            edge_apply_latency: Duration::ZERO,
-            cloud_inbox_cap: 1024,
-            edge_inbox_cap: 1024,
-            admission_timeout: None,
-            pool_threads: wedge_pool::threads_from_env(),
-        }
-    }
-}
-
-/// Identity derivation mirrors the simulator and threaded harnesses
-/// (cloud 1, edges 100+p, clients 1000+p) so entries and blocks are
-/// byte-identical across all three runtimes.
-const CLOUD_ID: u64 = 1;
-const EDGE_ID_BASE: u64 = 100;
-const CLIENT_ID_BASE: u64 = 1000;
-
-/// The edge engine's single client peer handle.
-const CLIENT_PEER: u8 = 0;
+/// A running N-edge + cloud cluster where every protocol message
+/// crosses a real TCP socket on loopback.
+pub type NetCluster = Cluster<TcpLink>;
+/// Configuration for the socket cluster (the one [`ClusterConfig`]).
+pub type NetConfig = ClusterConfig;
+/// Final state of a socket run (the one [`ClusterReport`]).
+pub type NetReport = ClusterReport;
 
 /// Envelope kind of the one-shot connection hello (outside the
 /// `WireMsg` tag space, which starts at 1 and stays below 0xF0).
@@ -186,65 +63,14 @@ const HELLO_KIND: u8 = 0xF0;
 /// Connection roles announced in the hello.
 const ROLE_EDGE: u8 = 0;
 const ROLE_CLIENT: u8 = 1;
+const ROLE_CLOUD: u8 = 2;
 
-/// Final state of a networked run; same shape the differential test
-/// reads from the threaded runtime.
-#[derive(Clone, Debug)]
-pub struct NetReport {
-    /// Per-partition state, indexed like `NetConfig::faults`.
-    pub edges: Vec<EdgeRunReport>,
-    /// Cloud-side counters.
-    pub cloud_stats: CloudStats,
-    /// Punished edge identities, sorted.
-    pub punished: Vec<IdentityId>,
-    /// Droppable cloud→edge messages (gossip, freshness refreshes)
-    /// shed because an edge inbox was full.
-    pub shed_cloud_msgs: u64,
-    /// Critical cloud→edge messages (proofs, merge results) deferred
-    /// because an edge inbox was full (delivered later).
-    pub deferred_cloud_msgs: u64,
-    /// Frames `write_frame` refused or failed to send, summed over
-    /// every connection. A healthy run is zero — the differential test
-    /// asserts it — and anything else means a peer silently missed
-    /// protocol messages (torn connection, oversized frame).
-    pub failed_sends: u64,
-    /// Per-connection breakdown of `failed_sends` (non-zero entries
-    /// only), labelled `sender→receiver`.
-    pub failed_sends_by_peer: Vec<(String, u64)>,
-    /// Frames that reached a socket, summed over every connection.
-    pub frames_sent: u64,
-    /// `write_all` calls that carried those frames. Coalescing makes
-    /// this ≤ [`NetReport::frames_sent`]; the gap is
-    /// [`NetReport::coalesced_frames`].
-    pub frame_writes: u64,
-    /// Frames that shared a syscall with a predecessor queued for the
-    /// same peer in the same service wakeup
-    /// (`frames_sent - frame_writes`).
-    pub coalesced_frames: u64,
-    /// Caller puts shed by the admission path (`try_put_on` hit its
-    /// admission timeout, or the batch was rejected outright).
-    pub puts_shed: u64,
-    /// Fold work across every merge the cloud processed (organic
-    /// merges and background compaction requests alike).
-    pub compaction: CompactionStats,
-    /// Witness checks the process-shared read-proof cache answered
-    /// without re-derivation, across all clients.
-    pub proof_cache_hits: u64,
-    /// Witness checks that paid the full re-derivation.
-    pub proof_cache_misses: u64,
-}
-
-// ---------------------------------------------------------------------------
-// Socket plumbing
-// ---------------------------------------------------------------------------
-
-/// Per-connection send-failure accounting. A send error must never be
-/// thrown away silently: the service loop degrades to message loss
-/// (retries and dispute deadlines keep the protocol live), but the
-/// drop is *counted* per peer and logged once per connection so an
-/// operator — and the run report — can see the partition was starved.
-/// Also carries the coalescing counters: frames packed vs syscalls
-/// issued.
+/// Per-connection send accounting. A send error is never thrown away
+/// silently: the service degrades to message loss (retries and dispute
+/// deadlines keep the protocol live), but the drop is *counted* per
+/// peer and logged once per connection so an operator — and the run
+/// report — can see the partition was starved. Also counts frames
+/// packed vs writes issued.
 struct SendTracker {
     /// `sender→receiver` label for logs and the report.
     peer: String,
@@ -253,7 +79,7 @@ struct SendTracker {
     /// Frames that reached the socket on this connection.
     frames: AtomicU64,
     /// `write_all` calls that carried them (≤ `frames`; the gap is
-    /// frames that shared a syscall with a predecessor).
+    /// frames that shared a write with a predecessor).
     writes: AtomicU64,
 }
 
@@ -299,10 +125,12 @@ const COALESCE_CAP: usize = MAX_FRAME_PAYLOAD as usize;
 /// merge frame must not pin 16 MiB per connection forever.
 const SCRATCH_RETAIN: usize = 256 * 1024;
 
-/// A writable connection: the stream, its failure accounting, and the
-/// send scratch buffer frames are packed into.
-struct Conn {
-    stream: TcpStream,
+/// One direction of a loopback connection: the stream, its send
+/// accounting, and the scratch buffer frames are packed into.
+pub struct TcpLink {
+    /// `None` when the connection's hello failed: every send is then
+    /// counted as lost.
+    stream: Option<TcpStream>,
     tracker: Arc<SendTracker>,
     /// Queued frames laid out back to back, each `[header | payload]`
     /// contiguous, written with a single `write_all` per flush.
@@ -311,54 +139,69 @@ struct Conn {
     queued: u64,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, tracker: Arc<SendTracker>) -> Self {
-        Conn { stream, tracker, scratch: Vec::new(), queued: 0 }
+impl TcpLink {
+    fn new(stream: Option<TcpStream>, tracker: Arc<SendTracker>) -> Self {
+        TcpLink { stream, tracker, scratch: Vec::new(), queued: 0 }
+    }
+}
+
+/// The TCP link's shared state: the listener every connection dials,
+/// the reader threads, and one stream clone per connection end for
+/// waking those readers at shutdown.
+pub struct TcpNet {
+    listener: Option<TcpListener>,
+    readers: Vec<JoinHandle<()>>,
+    sockets: Vec<TcpStream>,
+    trackers: Vec<Arc<SendTracker>>,
+}
+
+impl TcpNet {
+    fn track(&mut self, peer: String) -> Arc<SendTracker> {
+        let tracker = SendTracker::new(peer);
+        self.trackers.push(Arc::clone(&tracker));
+        tracker
     }
 
-    /// Packs one framed [`WireMsg`] into the scratch buffer. Every
-    /// frame queued for this peer in one service wakeup coalesces
-    /// into a single syscall at the next [`Conn::flush`], bounded by
-    /// the frame cap: a frame that would grow the batch past
-    /// [`COALESCE_CAP`] flushes the batch first. A refused oversized
-    /// frame surfaces as counted message loss — a service loop must
-    /// never panic mid-protocol.
-    fn queue(&mut self, msg: &WireMsg) {
-        let need = FRAME_HEADER_LEN + msg.encoded_len();
-        if !self.scratch.is_empty() && self.scratch.len() + need > COALESCE_CAP {
-            self.flush();
+    /// Dials the listener as `a`, runs the hello, and starts a reader
+    /// on each end. Returns the `a` end and the accepted end.
+    fn connect(
+        &mut self,
+        a: Endpoint,
+        to_a: &Sink,
+        b: Endpoint,
+        to_b: &Sink,
+    ) -> Result<(TcpStream, TcpStream), HandshakeError> {
+        let listener = self
+            .listener
+            .as_ref()
+            .ok_or(std::io::Error::from(std::io::ErrorKind::AddrNotAvailable))?;
+        let mut sa = TcpStream::connect(listener.local_addr()?)?;
+        let (role, index) = hello_of(a);
+        send_hello(&mut sa, role, index)?;
+        let (mut sb, _) = listener.accept()?;
+        if read_hello(&mut sb)? != (role, index) {
+            return Err(HandshakeError::BadHello("hello names another peer"));
         }
-        match msg.append_frame_to(&mut self.scratch) {
-            Ok(()) => self.queued += 1,
-            Err(err) => self.tracker.record_failed(&err, 1),
+        for (end, label, sink) in
+            [(&sa, format!("{a}-r{b}"), to_a), (&sb, format!("{b}-r{a}"), to_b)]
+        {
+            end.set_nodelay(true)?;
+            self.sockets.push(end.try_clone()?);
+            self.readers.push(spawn_reader(
+                format!("wedge-net-{label}"),
+                end.try_clone()?,
+                sink.clone(),
+            )?);
         }
-    }
-
-    /// Writes every queued frame with one `write_all`. A failure
-    /// (torn connection) loses the whole batch; each lost frame is
-    /// counted.
-    fn flush(&mut self) {
-        if self.scratch.is_empty() {
-            return;
-        }
-        match self.stream.write_all(&self.scratch) {
-            Ok(()) => {
-                self.tracker.frames.fetch_add(self.queued, Ordering::Relaxed);
-                self.tracker.writes.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(err) => self.tracker.record_failed(&err, self.queued),
-        }
-        self.scratch.clear();
-        self.scratch.shrink_to(SCRATCH_RETAIN);
-        self.queued = 0;
+        Ok((sa, sb))
     }
 }
 
 /// Why a connection hello failed. Hellos run once per connection at
-/// cluster start; a failure means the peer tore the connection before
-/// the cluster was even wired (or spoke garbage), and the cluster
-/// starts without that peer — counted in
-/// [`NetReport::failed_sends`] instead of panicking the process.
+/// cluster start; a failure means the connection tore before the
+/// cluster was even wired (or the peer spoke garbage), and the cluster
+/// starts without it — counted in [`NetReport::failed_sends`] instead
+/// of panicking the process.
 #[derive(Debug)]
 pub enum HandshakeError {
     /// The socket failed mid-hello.
@@ -367,6 +210,12 @@ pub enum HandshakeError {
     Closed,
     /// The first frame was not a well-formed hello.
     BadHello(&'static str),
+}
+
+impl From<std::io::Error> for HandshakeError {
+    fn from(err: std::io::Error) -> Self {
+        HandshakeError::Io(err)
+    }
 }
 
 impl std::fmt::Display for HandshakeError {
@@ -381,1113 +230,164 @@ impl std::fmt::Display for HandshakeError {
 
 impl std::error::Error for HandshakeError {}
 
+/// The hello's `(role, index)` for an endpoint.
+fn hello_of(end: Endpoint) -> (u8, u64) {
+    match end {
+        Endpoint::Edge(p) => (ROLE_EDGE, p as u64),
+        Endpoint::Client(p) => (ROLE_CLIENT, p as u64),
+        Endpoint::Cloud => (ROLE_CLOUD, 0),
+    }
+}
+
 /// Sends the connection hello identifying this peer to the acceptor.
 fn send_hello(stream: &mut TcpStream, role: u8, index: u64) -> Result<(), HandshakeError> {
     let mut payload = Vec::with_capacity(9);
     payload.push(role);
     payload.extend_from_slice(&index.to_be_bytes());
-    write_frame(stream, HELLO_KIND, &payload).map_err(HandshakeError::Io)
+    Ok(write_frame(stream, HELLO_KIND, &payload)?)
 }
 
 /// Reads and parses the hello frame that opens every connection.
 fn read_hello(stream: &mut TcpStream) -> Result<(u8, u64), HandshakeError> {
-    let frame = read_frame(stream).map_err(HandshakeError::Io)?.ok_or(HandshakeError::Closed)?;
+    let frame = read_frame(stream)?.ok_or(HandshakeError::Closed)?;
     if frame.kind != HELLO_KIND {
         return Err(HandshakeError::BadHello("first frame must be the hello"));
     }
-    if frame.payload.len() != 9 {
-        return Err(HandshakeError::BadHello("hello payload is role + index"));
+    match frame.payload[..] {
+        [role, ref index @ ..] if index.len() == 8 => {
+            let mut be = [0u8; 8];
+            be.copy_from_slice(index);
+            Ok((role, u64::from_be_bytes(be)))
+        }
+        _ => Err(HandshakeError::BadHello("hello payload is role + index")),
     }
-    let role = frame.payload[0];
-    // lint:allow(no-panic-path): payload length was checked to be exactly 9 two lines above, so the 8-byte slice conversion cannot fail
-    let index = u64::from_be_bytes(frame.payload[1..9].try_into().expect("8 bytes"));
-    Ok((role, index))
-}
-
-/// A loopback stream whose peer is already gone: reads see EOF,
-/// writes fail with a counted error. Stands in for a peer whose hello
-/// failed, so the surviving services still construct and their sends
-/// to the dead peer degrade to counted message loss.
-fn dead_stream() -> TcpStream {
-    // lint:allow(no-panic-path): runs on the caller thread during cluster construction; a host without a working loopback cannot run the TCP runtime at all, so fail fast
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind throwaway listener");
-    // lint:allow(no-panic-path): construction-time loopback setup, as above
-    let addr = listener.local_addr().expect("throwaway addr");
-    // lint:allow(no-panic-path): construction-time loopback setup, as above
-    let stream = TcpStream::connect(addr).expect("loopback connect");
-    // lint:allow(no-panic-path): construction-time loopback setup, as above
-    let (accepted, _) = listener.accept().expect("throwaway accept");
-    drop(accepted);
-    // lint:allow(discarded-result): the stream being torn down IS the product — a failed shutdown still leaves a dead peer, which is all callers need
-    let _ = stream.shutdown(SockShutdown::Both);
-    stream
 }
 
 /// Spawns the per-connection reader: blocks on frames, decodes each
 /// payload with the hostile-input-hardened codec, and hands the
-/// message to `deliver` (which may block — that is how a bounded
-/// inbox turns into TCP backpressure — and returns `false` to stop).
-/// Exits on EOF, error, or an undecodable frame (a peer speaking
-/// garbage is indistinguishable from a torn connection).
+/// message to `sink` (which may block — that is how a bounded inbox
+/// turns into TCP backpressure). Exits on EOF, error, an undecodable
+/// frame (a peer speaking garbage is indistinguishable from a torn
+/// connection), or once the receiving service is gone.
 fn spawn_reader(
     name: String,
     mut stream: TcpStream,
-    mut deliver: impl FnMut(WireMsg) -> bool + Send + 'static,
-    on_exit: impl FnOnce() + Send + 'static,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            // One payload buffer for the connection's life: every
-            // frame lands in place instead of allocating a fresh Vec.
-            let mut payload = Vec::new();
-            while let Ok(Some(kind)) = read_frame_into(&mut stream, &mut payload) {
-                let Ok(msg) = WireMsg::decode_payload(kind, &payload) else {
-                    break;
-                };
-                if !deliver(msg) {
-                    break;
-                }
-                payload.shrink_to(SCRATCH_RETAIN);
+    sink: Sink,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(move || {
+        // One payload buffer for the connection's life: every frame
+        // lands in place instead of allocating a fresh Vec.
+        let mut payload = Vec::new();
+        while let Ok(Some(kind)) = read_frame_into(&mut stream, &mut payload) {
+            let Ok(msg) = WireMsg::decode_payload(kind, &payload) else { break };
+            if !sink.deliver(msg) {
+                break;
             }
-            on_exit();
-        })
-        // lint:allow(no-panic-path): spawn happens while wiring a connection up (construction/accept path); spawn failure is resource exhaustion the harness should fail fast on
-        .expect("spawn reader thread")
+            payload.shrink_to(SCRATCH_RETAIN);
+        }
+    })
 }
 
-/// How many extra inbox messages a service drains (non-blocking)
-/// after each blocking receive, before ticking and flushing its
-/// connections. The greedy drain is what lets frames for the same
-/// peer coalesce into one write; the budget bounds how long queued
-/// responses wait for the wire.
-const DRAIN_BUDGET: usize = 32;
+impl Link for TcpLink {
+    type Net = TcpNet;
+    const THREAD_PREFIX: &'static str = "wedge-net-";
 
-/// True for cloud→edge traffic that may be shed under backpressure:
-/// the next gossip round re-issues it.
-fn droppable(msg: &WireMsg) -> bool {
-    matches!(msg, WireMsg::Gossip(_) | WireMsg::GlobalRefresh(_))
-}
-
-/// The never-blocking cloud→edge delivery gate: shared between the
-/// edge's from-cloud reader (which must keep draining its socket so
-/// the cloud's writes never stall on this edge) and a flusher thread
-/// that retries deferred critical messages into the bounded inbox.
-struct CloudGate {
-    /// Critical messages awaiting inbox room, FIFO. All delivery of
-    /// from-cloud traffic happens with this lock held, so deferred
-    /// messages can never be overtaken by later ones.
-    deferred: Mutex<VecDeque<WireMsg>>,
-    wake: Condvar,
-    /// Set by the reader on exit; tells the flusher to drain and stop.
-    closed: AtomicBool,
-    shed: AtomicU64,
-    deferred_count: AtomicU64,
-}
-
-impl CloudGate {
-    fn new() -> Arc<Self> {
-        Arc::new(CloudGate {
-            deferred: Mutex::new(VecDeque::new()),
-            wake: Condvar::new(),
-            closed: AtomicBool::new(false),
-            shed: AtomicU64::new(0),
-            deferred_count: AtomicU64::new(0),
-        })
+    fn open() -> TcpNet {
+        // A host without a working loopback still gets a cluster: every
+        // hello fails, and every send is counted as lost.
+        let listener = TcpListener::bind("127.0.0.1:0").ok();
+        TcpNet { listener, readers: Vec::new(), sockets: Vec::new(), trackers: Vec::new() }
     }
 
-    /// Delivery from the reader: try the inbox directly when nothing
-    /// is deferred (order preservation), else shed or queue.
-    fn deliver(&self, tx: &SyncSender<EdgeIn>, msg: WireMsg) -> bool {
-        // Poison recovery: the gate holds plain data (a deferred
-        // queue); a panic elsewhere must not wedge cloud→edge traffic.
-        let mut q = self.deferred.lock().unwrap_or_else(PoisonError::into_inner);
-        if q.is_empty() {
-            match tx.try_send(EdgeIn::FromCloud(msg)) {
-                Ok(()) => return true,
-                Err(TrySendError::Full(EdgeIn::FromCloud(m))) => self.queue_or_shed(&mut q, m),
-                // lint:allow(no-panic-path): the value is the FromCloud constructed in this very expression; any other variant is a type-level impossibility
-                Err(TrySendError::Full(_)) => unreachable!("gate only sends FromCloud"),
-                Err(TrySendError::Disconnected(_)) => return false,
+    fn pair(net: &mut TcpNet, a: Endpoint, to_a: Sink, b: Endpoint, to_b: Sink) -> (Self, Self) {
+        let (sa, sb) = match net.connect(a, &to_a, b, &to_b) {
+            Ok((sa, sb)) => (Some(sa), Some(sb)),
+            Err(err) => {
+                net.track(format!("{a}→{b} (hello)")).record_failed(&err, 1);
+                (None, None)
             }
-        } else {
-            self.queue_or_shed(&mut q, msg);
-        }
-        drop(q);
-        self.wake.notify_one();
-        true
-    }
-
-    fn queue_or_shed(&self, q: &mut VecDeque<WireMsg>, msg: WireMsg) {
-        if droppable(&msg) {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            q.push_back(msg);
-            self.deferred_count.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.wake.notify_one();
-    }
-}
-
-/// The per-edge flusher: retries deferred critical messages into the
-/// bounded inbox until delivered, so proofs and merge results survive
-/// overload (delayed, never lost). Holds the gate lock across each
-/// `try_send` so the reader cannot interleave newer messages ahead of
-/// deferred ones.
-fn spawn_gate_flusher(
-    name: String,
-    gate: Arc<CloudGate>,
-    tx: SyncSender<EdgeIn>,
-) -> JoinHandle<()> {
-    const RETRY: Duration = Duration::from_millis(1);
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || loop {
-            // Poison recovery mirrors `CloudGate::deliver`.
-            let mut q = gate.deferred.lock().unwrap_or_else(PoisonError::into_inner);
-            while q.is_empty() {
-                if gate.closed.load(Ordering::Acquire) {
-                    return; // reader gone and nothing left to deliver
-                }
-                let (guard, _) = gate
-                    .wake
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
-            }
-            let Some(msg) = q.pop_front() else { continue };
-            match tx.try_send(EdgeIn::FromCloud(msg)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(EdgeIn::FromCloud(m))) => {
-                    q.push_front(m);
-                    drop(q);
-                    std::thread::sleep(RETRY);
-                }
-                // lint:allow(no-panic-path): the value is the FromCloud constructed in this very expression; any other variant is a type-level impossibility
-                Err(TrySendError::Full(_)) => unreachable!("gate only sends FromCloud"),
-                Err(TrySendError::Disconnected(_)) => return,
-            }
-        })
-        // lint:allow(no-panic-path): construction-time spawn on the caller thread; failing fast before the run starts is the harness contract
-        .expect("spawn gate flusher")
-}
-
-// ---------------------------------------------------------------------------
-// Service inboxes
-// ---------------------------------------------------------------------------
-
-// `WireMsg` dwarfs `Shutdown`; inbox values are moved once per hop.
-#[allow(clippy::large_enum_variant)]
-enum EdgeIn {
-    FromClient(WireMsg),
-    FromCloud(WireMsg),
-    Shutdown,
-}
-
-#[allow(clippy::large_enum_variant)]
-enum CloudIn {
-    /// A protocol message from peer `peer` (edges `0..E`, partition
-    /// clients `E..2E`).
-    From {
-        peer: usize,
-        msg: WireMsg,
-    },
-    Shutdown,
-}
-
-#[allow(clippy::large_enum_variant)]
-enum ClientIn {
-    PutBatch { ops: PutOps, reply: SyncSender<PutReply> },
-    Get { key: u64, reply: SyncSender<GetOutcome> },
-    LogRead(BlockId),
-    FromEdge(WireMsg),
-    FromCloud(WireMsg),
-    Shutdown,
-}
-
-// ---------------------------------------------------------------------------
-// Services
-// ---------------------------------------------------------------------------
-
-/// The edge service: one engine, one socket up to the cloud, one
-/// socket down to the client.
-fn edge_service(
-    mut engine: EdgeEngine<u8>,
-    rx: Receiver<EdgeIn>,
-    mut cloud: Conn,
-    mut client: Conn,
-    epoch: Instant,
-    mut seal_times: VecDeque<u64>,
-    apply_latency: Duration,
-) -> EdgeEngine<u8> {
-    let apply = |engine: &mut EdgeEngine<u8>,
-                 cmd: EdgeCommand<u8>,
-                 now_ns: u64,
-                 cloud: &mut Conn,
-                 client: &mut Conn| {
-        for effect in engine.handle(cmd, now_ns) {
-            match effect {
-                EdgeEffect::SendCloud { msg, .. } => cloud.queue(&msg),
-                EdgeEffect::Send { msg, .. } => client.queue(&msg),
-                // CPU accounting has no real-time counterpart here.
-                EdgeEffect::UseCpu(_) | EdgeEffect::UseCpuBackground(_) => {}
-            }
-        }
-    };
-    let mut batch: Vec<EdgeIn> = Vec::with_capacity(DRAIN_BUDGET + 1);
-    loop {
-        match recv_until(&rx, engine.next_deadline_ns(), epoch) {
-            Inbox::Msg(msg) => batch.push(msg),
-            Inbox::Disconnected => break,
-            Inbox::Deadline => {}
-        }
-        while batch.len() <= DRAIN_BUDGET {
-            match rx.try_recv() {
-                Ok(msg) => batch.push(msg),
-                Err(_) => break,
-            }
-        }
-        let mut shutdown = false;
-        for msg in batch.drain(..) {
-            match msg {
-                EdgeIn::FromClient(msg) => {
-                    // Scripted seal times make block digests
-                    // reproducible.
-                    let now_ns = if matches!(msg, WireMsg::BatchAdd { .. }) {
-                        seal_times.pop_front().unwrap_or_else(|| elapsed_ns(epoch))
-                    } else {
-                        elapsed_ns(epoch)
-                    };
-                    if let Some(cmd) = EdgeCommand::from_wire(CLIENT_PEER, msg) {
-                        apply(&mut engine, cmd, now_ns, &mut cloud, &mut client);
-                    }
-                }
-                EdgeIn::FromCloud(msg) => {
-                    if !apply_latency.is_zero() {
-                        std::thread::sleep(apply_latency);
-                    }
-                    if let Some(cmd) = EdgeCommand::from_wire(CLIENT_PEER, msg) {
-                        apply(&mut engine, cmd, elapsed_ns(epoch), &mut cloud, &mut client);
-                    }
-                }
-                EdgeIn::Shutdown => {
-                    shutdown = true;
-                    break;
-                }
-            }
-        }
-        batch.clear();
-        if !shutdown {
-            let now_ns = elapsed_ns(epoch);
-            if engine.next_deadline_ns().is_some_and(|d| d <= now_ns) {
-                apply(&mut engine, EdgeCommand::Tick, now_ns, &mut cloud, &mut client);
-            }
-        }
-        cloud.flush();
-        client.flush();
-        if shutdown {
-            break;
-        }
-    }
-    engine
-}
-
-/// The cloud service: the engine plus one socket per peer.
-fn cloud_service(
-    mut engine: CloudEngine<usize>,
-    rx: Receiver<CloudIn>,
-    mut peers: HashMap<usize, Conn>,
-    epoch: Instant,
-) -> CloudEngine<usize> {
-    let apply = |engine: &mut CloudEngine<usize>,
-                 cmd: CloudCommand<usize>,
-                 now_ns: u64,
-                 peers: &mut HashMap<usize, Conn>| {
-        for effect in engine.handle(cmd, now_ns) {
-            match effect {
-                CloudEffect::Send { to, msg, .. } => {
-                    if let Some(conn) = peers.get_mut(&to) {
-                        conn.queue(&msg);
-                    }
-                }
-                CloudEffect::UseCpu(_) => {}
-            }
-        }
-    };
-    let mut batch: Vec<CloudIn> = Vec::with_capacity(DRAIN_BUDGET + 1);
-    loop {
-        match recv_until(&rx, engine.next_deadline_ns(), epoch) {
-            Inbox::Msg(msg) => batch.push(msg),
-            Inbox::Disconnected => break,
-            Inbox::Deadline => {}
-        }
-        while batch.len() <= DRAIN_BUDGET {
-            match rx.try_recv() {
-                Ok(msg) => batch.push(msg),
-                Err(_) => break,
-            }
-        }
-        let mut shutdown = false;
-        for msg in batch.drain(..) {
-            match msg {
-                CloudIn::From { peer, msg } => {
-                    if let Some(cmd) = CloudCommand::from_wire(peer, msg) {
-                        apply(&mut engine, cmd, elapsed_ns(epoch), &mut peers);
-                    }
-                }
-                CloudIn::Shutdown => {
-                    shutdown = true;
-                    break;
-                }
-            }
-        }
-        batch.clear();
-        if !shutdown {
-            let now_ns = elapsed_ns(epoch);
-            if engine.next_deadline_ns().is_some_and(|d| d <= now_ns) {
-                apply(&mut engine, CloudCommand::Tick, now_ns, &mut peers);
-            }
-        }
-        // lint:allow(nondet-iter): each peer owns its own socket; flush order across independent connections is not observable by any peer
-        for conn in peers.values_mut() {
-            conn.flush();
-        }
-        if shutdown {
-            break;
-        }
-    }
-    engine
-}
-
-/// What a joined client service thread yields.
-type ClientExit = (ClientEngine, Vec<wedge_core::messages::DisputeVerdict>);
-
-/// The client service: drives a [`ClientEngine`] from its inbox,
-/// routing caller requests in and completions back out via the shared
-/// [`ClientCompletions`] router; wire sends go to the two sockets.
-fn client_service(
-    mut engine: ClientEngine,
-    rx: Receiver<ClientIn>,
-    edge: Conn,
-    cloud: Conn,
-    epoch: Instant,
-) -> ClientExit {
-    let mut comp = ClientCompletions::new();
-    let mut edge = edge;
-    let mut cloud = cloud;
-    let mut batch: Vec<ClientIn> = Vec::with_capacity(DRAIN_BUDGET + 1);
-    loop {
-        match recv_until(&rx, engine.next_deadline_ns(), epoch) {
-            Inbox::Msg(msg) => batch.push(msg),
-            Inbox::Disconnected => break,
-            Inbox::Deadline => {}
-        }
-        while batch.len() <= DRAIN_BUDGET {
-            match rx.try_recv() {
-                Ok(msg) => batch.push(msg),
-                Err(_) => break,
-            }
-        }
-        let mut shutdown = false;
-        {
-            // Sends queue into the connection scratch buffers; the
-            // flushes below put every frame this wakeup produced on
-            // the wire together (pipelined put batches coalesce).
-            let mut send_edge = |msg: WireMsg| edge.queue(&msg);
-            let mut send_cloud = |msg: WireMsg| cloud.queue(&msg);
-            for msg in batch.drain(..) {
-                match msg {
-                    ClientIn::PutBatch { ops, reply } => comp.queue_put(ops, reply),
-                    ClientIn::Get { key, reply } => {
-                        let token = comp.register_get(reply);
-                        let cmd = ClientCommand::Get { token, key };
-                        comp.run(
-                            &mut engine,
-                            cmd,
-                            elapsed_ns(epoch),
-                            &mut send_edge,
-                            &mut send_cloud,
-                        );
-                    }
-                    ClientIn::LogRead(bid) => {
-                        let cmd = ClientCommand::LogRead { bid };
-                        comp.run(
-                            &mut engine,
-                            cmd,
-                            elapsed_ns(epoch),
-                            &mut send_edge,
-                            &mut send_cloud,
-                        );
-                    }
-                    ClientIn::FromEdge(msg) | ClientIn::FromCloud(msg) => {
-                        if let Some(cmd) = ClientCommand::from_wire(msg) {
-                            comp.run(
-                                &mut engine,
-                                cmd,
-                                elapsed_ns(epoch),
-                                &mut send_edge,
-                                &mut send_cloud,
-                            );
-                        }
-                    }
-                    ClientIn::Shutdown => {
-                        shutdown = true;
-                        break;
-                    }
-                }
-            }
-            if !shutdown {
-                let now_ns = elapsed_ns(epoch);
-                comp.pump_puts(&mut engine, now_ns, &mut send_edge, &mut send_cloud);
-                if engine.next_deadline_ns().is_some_and(|d| d <= now_ns) {
-                    comp.run(
-                        &mut engine,
-                        ClientCommand::Tick,
-                        now_ns,
-                        &mut send_edge,
-                        &mut send_cloud,
-                    );
-                }
-            }
-        }
-        batch.clear();
-        edge.flush();
-        cloud.flush();
-        if shutdown {
-            break;
-        }
-    }
-    (engine, comp.into_verdicts())
-}
-
-// ---------------------------------------------------------------------------
-// The cluster
-// ---------------------------------------------------------------------------
-
-/// A running N-edge + cloud cluster where every protocol message
-/// crosses a real TCP socket on loopback.
-pub struct NetCluster {
-    client_txs: Vec<Sender<ClientIn>>,
-    edge_txs: Vec<SyncSender<EdgeIn>>,
-    cloud_tx: SyncSender<CloudIn>,
-    edge_handles: Vec<Option<JoinHandle<EdgeEngine<u8>>>>,
-    client_handles: Vec<Option<JoinHandle<ClientExit>>>,
-    cloud_handle: Option<JoinHandle<CloudEngine<usize>>>,
-    reader_handles: Vec<JoinHandle<()>>,
-    gates: Vec<Arc<CloudGate>>,
-    /// Failure accounting for every writable connection.
-    send_trackers: Vec<Arc<SendTracker>>,
-    /// One clone of every stream, for unblocking readers at shutdown.
-    sockets: Vec<TcpStream>,
-    /// Public registry for caller-side verification.
-    pub registry: KeyRegistry,
-    /// The cloud's identity id.
-    pub cloud_id: IdentityId,
-    /// Edge identity per partition.
-    pub edge_ids: Vec<IdentityId>,
-    /// Caller-side batching per partition.
-    batcher: PutBatcher,
-    /// Admission timeout for `try_put_on` (see `NetConfig`).
-    admission_timeout: Option<Duration>,
-    /// Puts shed by the admission path.
-    puts_shed: AtomicU64,
-    /// The process-wide read-proof cache every client shares.
-    proof_cache: Arc<ShardedReadProofCache>,
-}
-
-impl NetCluster {
-    /// Binds the loopback sockets, wires the topology (client p →
-    /// edge p → cloud, plus client p → cloud), and spawns every
-    /// service, reader, and flusher thread.
-    pub fn start(cfg: NetConfig) -> Arc<Self> {
-        assert!(cfg.num_edges > 0, "need at least one edge");
-        assert!(cfg.cloud_inbox_cap > 0 && cfg.edge_inbox_cap > 0, "inboxes need capacity");
-        // Scripted seal times put BatchAdd handling on a virtual clock
-        // while deadlines tick on the wall clock (same rule as the
-        // threaded runtime).
-        assert!(
-            cfg.seal_times.is_none()
-                || (cfg.cert_retry.is_none()
-                    && cfg.merge_retry.is_none()
-                    && cfg.compaction_period.is_none()),
-            "seal_times (virtual timestamps) and retries/compaction (wall-clock deadlines) \
-             cannot combine"
-        );
-        let edges = cfg.num_edges;
-        let cloud_ident = Identity::derive("cloud", CLOUD_ID);
-        let edge_idents: Vec<Identity> =
-            (0..edges).map(|p| Identity::derive("edge", EDGE_ID_BASE + p as u64)).collect();
-        let client_idents: Vec<Identity> =
-            (0..edges).map(|p| Identity::derive("client", CLIENT_ID_BASE + p as u64)).collect();
-        let mut registry = KeyRegistry::new();
-        // lint:allow(no-panic-path): cluster construction on the caller thread — fail fast before the run starts
-        registry.register(cloud_ident.id, cloud_ident.public()).unwrap();
-        for ident in edge_idents.iter().chain(&client_idents) {
-            // lint:allow(no-panic-path): construction-time registration of distinct derived ids, as above
-            registry.register(ident.id, ident.public()).unwrap();
-        }
-        let mut index = CloudIndex::new(cfg.lsm.clone());
-        // Per-engine pools, as in the threaded runtime: each service
-        // thread scopes its own parallel sections independently.
-        index.set_pool(wedge_pool::Pool::new(cfg.pool_threads));
-        let inits: Vec<_> =
-            edge_idents.iter().map(|e| index.init_edge(&cloud_ident, e.id, 0)).collect();
-        let edge_ids: Vec<IdentityId> = edge_idents.iter().map(|e| e.id).collect();
-        let cloud_id = cloud_ident.id;
-        let cost = CostModel::default();
-
-        // --- listeners first, so connects land in the backlog ---
-        // lint:allow(no-panic-path): cluster construction on the caller thread — fail fast before the run starts
-        let cloud_listener = TcpListener::bind("127.0.0.1:0").expect("bind cloud listener");
-        // lint:allow(no-panic-path): construction-time loopback setup, as above
-        let cloud_addr = cloud_listener.local_addr().expect("cloud addr");
-        let edge_listeners: Vec<TcpListener> = (0..edges)
-            // lint:allow(no-panic-path): construction-time loopback setup, as above
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind edge listener"))
-            .collect();
-        let edge_addrs: Vec<_> =
-// lint:allow(no-panic-path): construction-time loopback setup, as above
-            edge_listeners.iter().map(|l| l.local_addr().expect("edge addr")).collect();
-
-        let connect = |addr| {
-            // lint:allow(no-panic-path): construction-time loopback connect; hello failures past this point are counted, not fatal
-            let s = TcpStream::connect(addr).expect("loopback connect");
-            // lint:allow(no-panic-path): construction-time socket option, as above
-            s.set_nodelay(true).expect("nodelay");
-            s
         };
+        let ab = TcpLink::new(sa, net.track(format!("{a}→{b}")));
+        let ba = TcpLink::new(sb, net.track(format!("{b}→{a}")));
+        (ab, ba)
+    }
 
-        // --- outbound connections + hellos ---
-        // A hello that fails (connection torn before the cluster is
-        // even wired) is counted, never fatal: the peer is dropped
-        // cleanly, a dead stream keeps the surviving services
-        // constructible, and their sends to the missing peer degrade
-        // to counted message loss.
-        let mut hello_failures: Vec<(String, String)> = Vec::new();
-        let mut edge_hello_ok = vec![true; edges];
-        let mut client_cloud_hello_ok = vec![true; edges];
-        let mut edge_to_cloud = Vec::new();
-        for (p, ok) in edge_hello_ok.iter_mut().enumerate() {
-            let mut s = connect(cloud_addr);
-            if let Err(err) = send_hello(&mut s, ROLE_EDGE, p as u64) {
-                hello_failures.push((format!("edge{p}→cloud (hello)"), err.to_string()));
-                *ok = false;
-                s = dead_stream();
-            }
-            edge_to_cloud.push(s);
+    /// Packs one framed message into the scratch buffer. A frame that
+    /// would grow the batch past [`COALESCE_CAP`] flushes the batch
+    /// first. A refused oversized frame is counted message loss — a
+    /// service must never panic mid-protocol.
+    fn queue(&mut self, msg: WireMsg) {
+        let need = FRAME_HEADER_LEN + msg.encoded_len();
+        if !self.scratch.is_empty() && self.scratch.len() + need > COALESCE_CAP {
+            self.flush();
         }
-        let mut client_edge_hello_ok = vec![true; edges];
-        let mut client_to_edge = Vec::new();
-        let mut client_to_cloud = Vec::new();
-        for (p, addr) in edge_addrs.iter().enumerate() {
-            let mut s = connect(*addr);
-            if let Err(err) = send_hello(&mut s, ROLE_CLIENT, p as u64) {
-                hello_failures.push((format!("client{p}→edge (hello)"), err.to_string()));
-                client_edge_hello_ok[p] = false;
-                s = dead_stream();
-            }
-            client_to_edge.push(s);
-            let mut s = connect(cloud_addr);
-            if let Err(err) = send_hello(&mut s, ROLE_CLIENT, p as u64) {
-                hello_failures.push((format!("client{p}→cloud (hello)"), err.to_string()));
-                client_cloud_hello_ok[p] = false;
-                s = dead_stream();
-            }
-            client_to_cloud.push(s);
+        match msg.append_frame_to(&mut self.scratch) {
+            Ok(()) => self.queued += 1,
+            Err(err) => self.tracker.record_failed(&err, 1),
         }
+    }
 
-        // --- accept + identify ---
-        // Cloud: one inbound per *successful* hello (E edges + E
-        // clients in a healthy start), any order. A hello that cannot
-        // be read leaves its peer out of the map — the peer's writer
-        // below becomes a dead stream.
-        let cloud_expected = edge_hello_ok.iter().filter(|ok| **ok).count()
-            + client_cloud_hello_ok.iter().filter(|ok| **ok).count();
-        let mut cloud_inbound: HashMap<usize, TcpStream> = HashMap::new();
-        for _ in 0..cloud_expected {
-            // lint:allow(no-panic-path): cluster construction on the caller thread — fail fast before the run starts
-            let (mut s, _) = cloud_listener.accept().expect("cloud accept");
-            // lint:allow(no-panic-path): construction-time socket option, as above
-            s.set_nodelay(true).expect("nodelay");
-            match read_hello(&mut s) {
-                Ok((role, index)) => {
-                    let peer = match role {
-                        ROLE_EDGE => index as usize,
-                        ROLE_CLIENT => edges + index as usize,
-                        // lint:allow(no-panic-path): loopback-only harness during construction — an unknown role is a wiring bug, not a runtime peer
-                        _ => panic!("unknown hello role {role}"),
-                    };
-                    let prev = cloud_inbound.insert(peer, s);
-                    assert!(prev.is_none(), "duplicate hello for peer {peer}");
-                }
-                Err(err) => hello_failures.push(("cloud←peer (hello)".into(), err.to_string())),
-            }
+    /// Writes every queued frame with one `write_all`. A failure (torn
+    /// connection) loses the whole batch; each lost frame is counted.
+    fn flush(&mut self) {
+        if self.scratch.is_empty() {
+            return;
         }
-        // Each edge: one inbound (its client), unless that client's
-        // hello already failed on the client side.
-        let mut edge_inbound = Vec::new();
-        for (p, listener) in edge_listeners.iter().enumerate() {
-            if !client_edge_hello_ok[p] {
-                edge_inbound.push(dead_stream());
-                continue;
-            }
-            // lint:allow(no-panic-path): cluster construction on the caller thread — fail fast before the run starts
-            let (mut s, _) = listener.accept().expect("edge accept");
-            // lint:allow(no-panic-path): construction-time socket option, as above
-            s.set_nodelay(true).expect("nodelay");
-            match read_hello(&mut s) {
-                Ok((role, index)) => {
-                    assert_eq!(
-                        (role, index as usize),
-                        (ROLE_CLIENT, p),
-                        "edge {p} expects its client"
-                    );
-                }
-                Err(err) => {
-                    hello_failures.push((format!("edge{p}←client (hello)"), err.to_string()));
-                    s = dead_stream();
-                }
-            }
-            edge_inbound.push(s);
-        }
-
-        let epoch = Instant::now();
-        let mut sockets = Vec::new();
-        let mut reader_handles = Vec::new();
-        let mut send_trackers: Vec<Arc<SendTracker>> = Vec::new();
-        let track = |send_trackers: &mut Vec<Arc<SendTracker>>, peer: String| {
-            let tracker = SendTracker::new(peer);
-            send_trackers.push(Arc::clone(&tracker));
-            tracker
+        let written = match &mut self.stream {
+            Some(stream) => stream.write_all(&self.scratch),
+            None => Err(std::io::ErrorKind::NotConnected.into()),
         };
-        // Hello failures surface through the same per-peer accounting
-        // as any other lost frame.
-        for (label, err) in hello_failures {
-            track(&mut send_trackers, label).record_failed(&err, 1);
-        }
-
-        // --- cloud node ---
-        let cloud_engine = CloudEngine::new(
-            cloud_ident,
-            registry.clone(),
-            cost.clone(),
-            index,
-            (0..edges).map(|p| (p, edge_ids[p])).collect::<HashMap<_, _>>(),
-            cfg.gossip_period.map(|d| d.as_nanos() as u64),
-        );
-        // Bounded: full inbox blocks the readers below, which stops
-        // their socket reads — TCP flow control then pushes back on
-        // the writing edges/clients.
-        let (cloud_tx, cloud_rx) = sync_channel::<CloudIn>(cfg.cloud_inbox_cap);
-        let mut cloud_writers = HashMap::new();
-        for peer in 0..2 * edges {
-            let label = if peer < edges {
-                format!("cloud→edge{peer}")
-            } else {
-                format!("cloud→client{}", peer - edges)
-            };
-            let tracker = track(&mut send_trackers, label);
-            // A peer whose hello failed gets a dead stream and no
-            // reader: sends to it fail and are counted.
-            let stream = match cloud_inbound.remove(&peer) {
-                Some(stream) => {
-                    // lint:allow(no-panic-path): construction-time socket clone on the caller thread — fail fast before the run starts
-                    sockets.push(stream.try_clone().expect("clone"));
-                    let tx = cloud_tx.clone();
-                    reader_handles.push(spawn_reader(
-                        format!("wedge-net-cloud-r{peer}"),
-                        // lint:allow(no-panic-path): construction-time socket clone on the caller thread — fail fast before the run starts
-                        stream.try_clone().expect("clone"),
-                        move |msg| tx.send(CloudIn::From { peer, msg }).is_ok(),
-                        || {},
-                    ));
-                    stream
-                }
-                None => dead_stream(),
-            };
-            cloud_writers.insert(peer, Conn::new(stream, tracker));
-        }
-        let cloud_handle = std::thread::Builder::new()
-            .name("wedge-net-cloud".into())
-            .spawn(move || cloud_service(cloud_engine, cloud_rx, cloud_writers, epoch))
-            // lint:allow(no-panic-path): construction-time spawn on the caller thread — fail fast before the run starts
-            .expect("spawn cloud service");
-
-        // --- edge nodes ---
-        let mut edge_txs = Vec::new();
-        let mut edge_handles = Vec::new();
-        let mut gates = Vec::new();
-        for (p, ident) in edge_idents.into_iter().enumerate() {
-            let tree = LsMerkle::new(ident.id, cfg.lsm.clone(), inits[p].clone());
-            let fault = cfg.faults.get(p).cloned().unwrap_or_default();
-            let mut engine = EdgeEngine::new(
-                ident,
-                cloud_id,
-                registry.clone(),
-                cost.clone(),
-                CryptoMode::Real,
-                fault,
-                tree,
-                vec![CLIENT_PEER],
-            );
-            engine.set_pool(wedge_pool::Pool::new(cfg.pool_threads));
-            engine.set_cert_retry_ns(cfg.cert_retry.map(|d| d.as_nanos() as u64));
-            engine.set_merge_retry_ns(cfg.merge_retry.map(|d| d.as_nanos() as u64));
-            engine.set_compaction_period_ns(cfg.compaction_period.map(|d| d.as_nanos() as u64));
-            let (tx, rx) = sync_channel::<EdgeIn>(cfg.edge_inbox_cap);
-            let up = edge_to_cloud.remove(0);
-            let down = edge_inbound.remove(0);
-            // lint:allow(no-panic-path): construction-time socket clone on the caller thread — fail fast before the run starts
-            sockets.push(up.try_clone().expect("clone"));
-            // lint:allow(no-panic-path): construction-time socket clone on the caller thread — fail fast before the run starts
-            sockets.push(down.try_clone().expect("clone"));
-            // From-cloud: never block the socket drain — shed/defer
-            // through the gate (see module docs), flushed by a
-            // dedicated thread.
-            let gate = CloudGate::new();
-            {
-                reader_handles.push(spawn_gate_flusher(
-                    format!("wedge-net-edge{p}-flush"),
-                    Arc::clone(&gate),
-                    tx.clone(),
-                ));
-                let deliver_gate = Arc::clone(&gate);
-                let exit_gate = Arc::clone(&gate);
-                let reader_tx = tx.clone();
-                reader_handles.push(spawn_reader(
-                    format!("wedge-net-edge{p}-rcloud"),
-                    // lint:allow(no-panic-path): construction-time socket clone on the caller thread — fail fast before the run starts
-                    up.try_clone().expect("clone"),
-                    move |msg| deliver_gate.deliver(&reader_tx, msg),
-                    move || exit_gate.close(),
-                ));
+        match written {
+            Ok(()) => {
+                self.tracker.frames.fetch_add(self.queued, Ordering::Relaxed);
+                self.tracker.writes.fetch_add(1, Ordering::Relaxed);
             }
-            gates.push(gate);
-            // From-client: blocking send — a full edge inbox is
-            // backpressure onto the client, exactly like the threaded
-            // runtime's bounded channel.
-            {
-                let tx = tx.clone();
-                reader_handles.push(spawn_reader(
-                    format!("wedge-net-edge{p}-rclient"),
-                    // lint:allow(no-panic-path): construction-time socket clone on the caller thread — fail fast before the run starts
-                    down.try_clone().expect("clone"),
-                    move |msg| tx.send(EdgeIn::FromClient(msg)).is_ok(),
-                    || {},
-                ));
-            }
-            let seal_times: VecDeque<u64> = cfg
-                .seal_times
-                .as_ref()
-                .and_then(|per_edge| per_edge.get(p).cloned())
-                .unwrap_or_default()
-                .into();
-            let apply_latency = cfg.edge_apply_latency;
-            let up = Conn::new(up, track(&mut send_trackers, format!("edge{p}→cloud")));
-            let down = Conn::new(down, track(&mut send_trackers, format!("edge{p}→client")));
-            let handle = std::thread::Builder::new()
-                .name(format!("wedge-net-edge-{p}"))
-                .spawn(move || edge_service(engine, rx, up, down, epoch, seal_times, apply_latency))
-                // lint:allow(no-panic-path): construction-time spawn on the caller thread — fail fast before the run starts
-                .expect("spawn edge service");
-            edge_txs.push(tx);
-            edge_handles.push(Some(handle));
+            Err(err) => self.tracker.record_failed(&err, self.queued),
         }
-
-        // --- client nodes ---
-        // One proof cache for the whole process: a witness verified by
-        // any partition's client is verified for all of them (the
-        // cache's trust rule is content-based, not per-client).
-        let proof_cache = Arc::new(ShardedReadProofCache::default());
-        let mut client_txs = Vec::new();
-        let mut client_handles = Vec::new();
-        for (p, ident) in client_idents.into_iter().enumerate() {
-            let seed = client_workload_seed(0, ident.id);
-            let mut engine = ClientEngine::new(
-                ident,
-                edge_ids[p],
-                cloud_id,
-                registry.clone(),
-                cost.clone(),
-                CryptoMode::Real,
-                ClientPlan::idle(),
-                cfg.freshness_window.map(|d| d.as_nanos() as u64),
-                cfg.dispute_timeout.as_nanos() as u64,
-                seed,
-            );
-            engine.set_pipeline_depth(cfg.pipeline_depth);
-            engine.share_proof_cache(Arc::clone(&proof_cache));
-            // Unbounded on purpose: client inbound volume is responses
-            // to the client's own requests plus verdicts/gossip —
-            // self-limiting — and an unbounded client inbox breaks the
-            // client→edge→cloud→client blocking cycle.
-            // lint:allow(bounded-channels): deliberately unbounded — see the comment above; bounding this inbox re-creates the deadlock cycle
-            let (tx, rx) = channel::<ClientIn>();
-            let edge = client_to_edge.remove(0);
-            let cloud = client_to_cloud.remove(0);
-            // lint:allow(no-panic-path): construction-time socket clone on the caller thread — fail fast before the run starts
-            sockets.push(edge.try_clone().expect("clone"));
-            // lint:allow(no-panic-path): construction-time socket clone on the caller thread — fail fast before the run starts
-            sockets.push(cloud.try_clone().expect("clone"));
-            {
-                let tx = tx.clone();
-                reader_handles.push(spawn_reader(
-                    format!("wedge-net-client{p}-redge"),
-                    // lint:allow(no-panic-path): construction-time socket clone on the caller thread — fail fast before the run starts
-                    edge.try_clone().expect("clone"),
-                    move |msg| tx.send(ClientIn::FromEdge(msg)).is_ok(),
-                    || {},
-                ));
-            }
-            {
-                let tx = tx.clone();
-                reader_handles.push(spawn_reader(
-                    format!("wedge-net-client{p}-rcloud"),
-                    // lint:allow(no-panic-path): construction-time socket clone on the caller thread — fail fast before the run starts
-                    cloud.try_clone().expect("clone"),
-                    move |msg| tx.send(ClientIn::FromCloud(msg)).is_ok(),
-                    || {},
-                ));
-            }
-            let edge = Conn::new(edge, track(&mut send_trackers, format!("client{p}→edge")));
-            let cloud = Conn::new(cloud, track(&mut send_trackers, format!("client{p}→cloud")));
-            let handle = std::thread::Builder::new()
-                .name(format!("wedge-net-client-{p}"))
-                .spawn(move || client_service(engine, rx, edge, cloud, epoch))
-                // lint:allow(no-panic-path): construction-time spawn on the caller thread — fail fast before the run starts
-                .expect("spawn client service");
-            client_txs.push(tx);
-            client_handles.push(Some(handle));
-        }
-
-        Arc::new(NetCluster {
-            client_txs,
-            edge_txs,
-            cloud_tx,
-            edge_handles,
-            client_handles,
-            cloud_handle: Some(cloud_handle),
-            reader_handles,
-            gates,
-            send_trackers,
-            sockets,
-            registry,
-            cloud_id,
-            edge_ids,
-            batcher: PutBatcher::new(edges, cfg.batch_size),
-            admission_timeout: cfg.admission_timeout,
-            puts_shed: AtomicU64::new(0),
-            proof_cache,
-        })
+        self.scratch.clear();
+        self.scratch.shrink_to(SCRATCH_RETAIN);
+        self.queued = 0;
     }
 
-    /// Puts a key-value pair through partition `edge`'s client.
-    /// Buffers caller-side until a batch is full, then submits the
-    /// batch and returns the Phase-I reply. Returns `None` while
-    /// buffering.
-    pub fn put_on(&self, edge: usize, key: u64, value: Vec<u8>) -> Option<PutReply> {
-        self.batcher.put(edge, key, value, |ops| self.submit(edge, ops))
-    }
-
-    /// Flushes partition `edge`'s buffered entries as a partial batch.
-    pub fn flush_on(&self, edge: usize) -> Option<PutReply> {
-        self.batcher.flush(edge, |ops| self.submit(edge, ops))
-    }
-
-    /// Like [`NetCluster::put_on`], but with per-caller admission
-    /// control: if the batch's Phase-I reply does not arrive within
-    /// `NetConfig::admission_timeout`, the put is *shed* — counted in
-    /// [`NetReport::puts_shed`] and surfaced as [`PutShed`] — instead
-    /// of blocking the caller indefinitely behind a full edge inbox.
-    /// `Ok(None)` means the put is still buffering client-side. With
-    /// no timeout configured this is `put_on` with a `Result` wrapper.
-    pub fn try_put_on(
-        &self,
-        edge: usize,
-        key: u64,
-        value: Vec<u8>,
-    ) -> Result<Option<PutReply>, PutShed> {
-        let Some(rx) = self.batcher.put_submit(edge, key, value, |ops| self.submit(edge, ops))
-        else {
-            return Ok(None);
-        };
-        let shed = |err: PutShed| {
-            self.puts_shed.fetch_add(1, Ordering::Relaxed);
-            Err(err)
-        };
-        // Without a timeout this is still the *fallible* API: a
-        // rejected batch (dropped reply sender) is `PutShed::Rejected`,
-        // never the panic `put_on`'s infallible contract uses.
-        let Some(timeout) = self.admission_timeout else {
-            return match rx.recv() {
-                Ok(reply) => Ok(Some(reply)),
-                Err(_) => shed(PutShed::Rejected),
-            };
-        };
-        use std::sync::mpsc::RecvTimeoutError;
-        match rx.recv_timeout(timeout) {
-            Ok(reply) => Ok(Some(reply)),
-            Err(RecvTimeoutError::Timeout) => shed(PutShed::AdmissionTimeout),
-            Err(RecvTimeoutError::Disconnected) => shed(PutShed::Rejected),
-        }
-    }
-
-    fn submit(&self, edge: usize, ops: PutOps) -> Receiver<PutReply> {
-        // Single-shot reply: exactly one Phase-I reply ever rides the
-        // channel, so the rendezvous send cannot block the service.
-        let (tx, rx) = sync_channel(1);
-        // lint:allow(discarded-result): client service gone = shutdown race; the caller sees the closed reply channel and sheds the put
-        let _ = self.client_txs[edge].send(ClientIn::PutBatch { ops, reply: tx });
-        rx
-    }
-
-    /// Puts on partition 0 (single-edge convenience).
-    pub fn put(&self, key: u64, value: Vec<u8>) -> Option<PutReply> {
-        self.put_on(0, key, value)
-    }
-
-    /// Flushes partition 0 (single-edge convenience).
-    pub fn flush(&self) -> Option<PutReply> {
-        self.flush_on(0)
-    }
-
-    /// Gets a key through partition `edge`'s client, with full
-    /// engine-side verification — the proof travels edge→client as
-    /// real bytes and is decoded before verifying.
-    pub fn get_on(&self, edge: usize, key: u64) -> Result<GetOutcome, ProofError> {
-        let (tx, rx) = sync_channel(1);
-        // lint:allow(no-panic-path): caller-facing harness API; the client service outlives the cluster handle by construction, and a violated contract must fail fast here, not corrupt a measurement
-        self.client_txs[edge].send(ClientIn::Get { key, reply: tx }).expect("client service alive");
-        // lint:allow(no-panic-path): same contract as the send above — the service replies or the run is already broken
-        let outcome = rx.recv().expect("client service replies");
-        match outcome.verify_error.clone() {
-            Some(e) => Err(e),
-            None => Ok(outcome),
-        }
-    }
-
-    /// Gets on partition 0 (single-edge convenience).
-    pub fn get(&self, key: u64) -> Result<GetOutcome, ProofError> {
-        self.get_on(0, key)
-    }
-
-    /// Audits a log block through partition `edge`'s client. Fire and
-    /// forget: a lying edge surfaces as a verdict in the report.
-    pub fn log_read_on(&self, edge: usize, bid: BlockId) {
-        // lint:allow(discarded-result): fire-and-forget audit — a dead client service means shutdown already began and there is nothing left to audit
-        let _ = self.client_txs[edge].send(ClientIn::LogRead(bid));
-    }
-
-    /// Shuts every service down, unblocks and joins the socket
-    /// readers and flushers, and returns the final protocol state.
-    /// Returns `None` unless called on the last owner.
-    pub fn shutdown(mut self: Arc<Self>) -> Option<NetReport> {
-        let this = Arc::get_mut(&mut self)?;
-        for tx in &this.client_txs {
-            // lint:allow(discarded-result): best-effort shutdown — a service whose inbox is closed has already exited, which is the goal
-            let _ = tx.send(ClientIn::Shutdown);
-        }
-        for tx in &this.edge_txs {
-            // lint:allow(discarded-result): best-effort shutdown, as above
-            let _ = tx.send(EdgeIn::Shutdown);
-        }
-        // lint:allow(discarded-result): best-effort shutdown, as above
-        let _ = this.cloud_tx.send(CloudIn::Shutdown);
-        let clients: Vec<ClientExit> = this
-            .client_handles
-            .iter_mut()
-            .map(|h| h.take().and_then(|h| h.join().ok()))
-            .collect::<Option<_>>()?;
-        let edges: Vec<EdgeEngine<u8>> = this
-            .edge_handles
-            .iter_mut()
-            .map(|h| h.take().and_then(|h| h.join().ok()))
-            .collect::<Option<_>>()?;
-        let cloud_engine = this.cloud_handle.take().and_then(|h| h.join().ok())?;
-        // Readers block in `read`; closing both directions wakes them.
-        // Gate flushers exit on their closed flag or disconnect.
-        for s in &this.sockets {
-            // lint:allow(discarded-result): teardown — a socket that fails to shut down is already torn, and the reader joins below either way
+    /// Readers block in `read`; closing both directions of every
+    /// socket wakes them, and they are joined before the counts are
+    /// read.
+    fn close(net: &mut TcpNet) -> LinkStats {
+        for s in &net.sockets {
+            // lint:allow(discarded-result): teardown — a socket that fails to shut down is already torn, and its reader joins below either way
             let _ = s.shutdown(SockShutdown::Both);
         }
-        for gate in &this.gates {
-            gate.close();
+        for reader in net.readers.drain(..) {
+            // A reader that panicked has nothing left to report.
+            let _ = reader.join();
         }
-        for handle in this.reader_handles.drain(..) {
-            let _ = handle.join();
-        }
-        let shed: u64 = this.gates.iter().map(|g| g.shed.load(Ordering::Relaxed)).sum();
-        let deferred: u64 =
-            this.gates.iter().map(|g| g.deferred_count.load(Ordering::Relaxed)).sum();
-        let failed_sends_by_peer: Vec<(String, u64)> = this
-            .send_trackers
+        let failed_sends_by_peer: Vec<(String, u64)> = net
+            .trackers
             .iter()
             .filter(|t| t.count() > 0)
             .map(|t| (t.peer.clone(), t.count()))
             .collect();
-        let failed_sends: u64 = failed_sends_by_peer.iter().map(|(_, n)| n).sum();
-        let frames_sent: u64 =
-            this.send_trackers.iter().map(|t| t.frames.load(Ordering::Relaxed)).sum();
-        let frame_writes: u64 =
-            this.send_trackers.iter().map(|t| t.writes.load(Ordering::Relaxed)).sum();
-
-        let mut reports = Vec::new();
-        for (p, (edge_engine, (client_engine, verdicts))) in
-            edges.into_iter().zip(clients).enumerate()
-        {
-            let edge_id = this.edge_ids[p];
-            let blocks = edge_engine
-                .log
-                .iter()
-                .map(|sb| {
-                    (
-                        sb.block.id,
-                        sb.block.digest(),
-                        sb.proof.as_ref().map(|pr| pr.digest),
-                        cloud_engine.ledger.lookup(edge_id, sb.block.id).copied(),
-                    )
-                })
-                .collect();
-            reports.push(EdgeRunReport {
-                edge: edge_id,
-                blocks,
-                edge_stats: edge_engine.stats.clone(),
-                client_metrics: client_engine.metrics.clone(),
-                certified_len: cloud_engine.ledger.contiguous_len(edge_id),
-                watermark_len: client_engine.watermarks.latest(edge_id).map(|wm| wm.log_len),
-                verdicts,
-            });
-        }
-        let mut punished: Vec<IdentityId> = cloud_engine.punished.iter().copied().collect();
-        punished.sort_by_key(|id| id.0);
-        let (proof_cache_hits, proof_cache_misses) =
-            (this.proof_cache.hits(), this.proof_cache.misses());
-        Some(NetReport {
-            edges: reports,
-            cloud_stats: cloud_engine.stats.clone(),
-            punished,
-            shed_cloud_msgs: shed,
-            deferred_cloud_msgs: deferred,
-            failed_sends,
+        let sum = |f: fn(&SendTracker) -> &AtomicU64| -> u64 {
+            net.trackers.iter().map(|t| f(t).load(Ordering::Relaxed)).sum()
+        };
+        LinkStats {
+            failed_sends: failed_sends_by_peer.iter().map(|(_, n)| n).sum(),
             failed_sends_by_peer,
-            frames_sent,
-            frame_writes,
-            coalesced_frames: frames_sent.saturating_sub(frame_writes),
-            puts_shed: this.puts_shed.load(Ordering::Relaxed),
-            compaction: cloud_engine.index.compaction_stats(),
-            proof_cache_hits,
-            proof_cache_misses,
-        })
+            frames_sent: sum(|t| &t.frames),
+            frame_writes: sum(|t| &t.writes),
+        }
     }
 }
 
 #[cfg(test)]
+#[path = "../../wedge-core/tests/scenarios/mod.rs"]
+mod scenarios;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios as s;
+    use wedge_log::BlockId;
 
     /// A connected loopback socket pair.
     fn socket_pair() -> (TcpStream, TcpStream) {
@@ -1507,19 +407,23 @@ mod tests {
         let msgs = vec![
             WireMsg::Get { req_id: 7, key: 42 },
             WireMsg::LogRead { bid: BlockId(3) },
-            WireMsg::MergeReqResend { edge: IdentityId(9), source_level: 1, epoch: 5 },
+            WireMsg::MergeReqResend {
+                edge: wedge_crypto::IdentityId(9),
+                source_level: 1,
+                epoch: 5,
+            },
             WireMsg::Get { req_id: 8, key: 43 },
         ];
-        let mut conn = Conn::new(writer, SendTracker::new("test→peer".into()));
+        let mut link = TcpLink::new(Some(writer), SendTracker::new("test→peer".into()));
         for msg in &msgs {
-            conn.queue(msg);
+            link.queue(msg.clone());
         }
-        conn.flush();
-        assert_eq!(conn.tracker.frames.load(Ordering::Relaxed), msgs.len() as u64);
-        assert_eq!(conn.tracker.writes.load(Ordering::Relaxed), 1, "one syscall for the batch");
-        assert_eq!(conn.tracker.count(), 0);
+        link.flush();
+        assert_eq!(link.tracker.frames.load(Ordering::Relaxed), msgs.len() as u64);
+        assert_eq!(link.tracker.writes.load(Ordering::Relaxed), 1, "one syscall for the batch");
+        assert_eq!(link.tracker.count(), 0);
         // Half-close so the reader sees EOF after the batch.
-        conn.stream.shutdown(SockShutdown::Write).expect("half-close");
+        link.stream.as_ref().expect("connected").shutdown(SockShutdown::Write).expect("half-close");
         let mut decoded = Vec::new();
         let mut payload = Vec::new();
         while let Some(kind) = read_frame_into(&mut reader, &mut payload).expect("read") {
@@ -1533,13 +437,13 @@ mod tests {
         let (writer, reader) = socket_pair();
         drop(reader);
         let _ = writer.shutdown(SockShutdown::Both);
-        let mut conn = Conn::new(writer, SendTracker::new("test→gone".into()));
+        let mut link = TcpLink::new(Some(writer), SendTracker::new("test→gone".into()));
         for key in 0..3u64 {
-            conn.queue(&WireMsg::Get { req_id: key, key });
+            link.queue(WireMsg::Get { req_id: key, key });
         }
-        conn.flush();
-        assert_eq!(conn.tracker.count(), 3, "every frame in the lost batch is counted");
-        assert_eq!(conn.tracker.frames.load(Ordering::Relaxed), 0);
+        link.flush();
+        assert_eq!(link.tracker.count(), 3, "every frame in the lost batch is counted");
+        assert_eq!(link.tracker.frames.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1573,275 +477,82 @@ mod tests {
         }
     }
 
+    // The shared scenario suite on the TCP link; the same bodies run in
+    // process in `wedge_core::threaded`.
+
     #[test]
     fn net_put_get_roundtrip_over_tcp() {
-        let cluster = NetCluster::start(NetConfig { batch_size: 2, ..NetConfig::default() });
-        assert!(cluster.put(1, b"a".to_vec()).is_none()); // buffered
-        let reply = cluster.put(2, b"b".to_vec()).expect("batch sealed");
-        assert!(reply.receipt.verify(&cluster.registry));
-        let proof = reply.certified.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(proof.digest, reply.receipt.block_digest);
-        let read = cluster.get(1).unwrap();
-        assert_eq!(read.value.as_deref(), Some(b"a".as_ref()));
-        cluster.shutdown();
+        s::put_get_roundtrip::<TcpLink>();
     }
 
     #[test]
     fn net_merges_preserve_data_over_tcp() {
-        // 20 single-put blocks cross the exposition L0 threshold
-        // repeatedly: merge requests and results (whole pages) ship as
-        // real bytes.
-        let cluster = NetCluster::start(NetConfig { batch_size: 1, ..NetConfig::default() });
-        let mut last = None;
-        for k in 0..20u64 {
-            last = cluster.put(k, format!("v{k}").into_bytes());
-        }
-        if let Some(reply) = last {
-            let _ = reply.certified.recv_timeout(Duration::from_secs(5));
-        }
-        for k in 0..20u64 {
-            let read = cluster.get(k).unwrap();
-            assert_eq!(read.value, Some(format!("v{k}").into_bytes()), "key {k}");
-        }
-        let report = cluster.shutdown().expect("sole owner gets the report");
-        assert_eq!(report.edges[0].edge_stats.blocks_sealed, 20);
-        assert!(report.cloud_stats.merges_processed > 0, "merges ran over the wire");
-        assert_eq!(
-            report.failed_sends, 0,
-            "no frame may be dropped: {:?}",
-            report.failed_sends_by_peer
-        );
+        s::merges_preserve_data::<TcpLink>();
     }
 
     #[test]
-    fn net_merge_replies_are_delta_encoded_over_tcp() {
-        // Sequential keys: every L0→L1 merge extends the target level
-        // on the right, so the pages to its left come back from the
-        // cloud as references into the request the edge just sent —
-        // and L1→L2 moves into an empty level reuse the source pages
-        // outright. All of it crosses real sockets as `MergeResDelta`
-        // frames and resolves against the edge's in-flight request.
-        let cluster = NetCluster::start(NetConfig { batch_size: 1, ..NetConfig::default() });
-        let mut last = None;
-        for k in 0..40u64 {
-            last = cluster.put(k, vec![k as u8; 64]);
-        }
-        if let Some(reply) = last {
-            let _ = reply.certified.recv_timeout(Duration::from_secs(5));
-        }
-        for k in 0..40u64 {
-            let read = cluster.get(k).unwrap();
-            assert_eq!(read.value, Some(vec![k as u8; 64]), "key {k}");
-        }
-        let report = cluster.shutdown().expect("report");
-        assert!(report.cloud_stats.merges_processed > 0, "merges ran");
-        assert!(
-            report.cloud_stats.merge_reply_pages_reused > 0,
-            "replies shipped references for unchanged pages (full {}, reused {})",
-            report.cloud_stats.merge_reply_pages_full,
-            report.cloud_stats.merge_reply_pages_reused
-        );
-        assert!(report.cloud_stats.merge_reply_bytes_saved > 0, "delta shrank the replies");
-        assert_eq!(report.edges[0].edge_stats.merge_deltas_unresolved, 0, "every delta resolved");
-        assert_eq!(
-            report.failed_sends, 0,
-            "no frame may be dropped: {:?}",
-            report.failed_sends_by_peer
-        );
+    fn net_absent_key_is_none() {
+        s::absent_key_is_none::<TcpLink>();
     }
 
     #[test]
-    fn net_oversized_full_request_merges_as_small_delta_over_tcp() {
-        use wedge_log::MAX_FRAME_PAYLOAD;
-        // 70 sequential keys with 256 KiB values and one-record pages:
-        // by the last L0→L1 merge the target level holds ~67 pages
-        // (~17 MiB), so a *full* merge request re-shipping it would
-        // blow the 16 MiB frame cap — `write_frame` would refuse the
-        // frame, `failed_sends` would count it, and the merge would
-        // wedge. Delta-encoded requests reference the retained run in
-        // 5 bytes per page, so every merge crosses the socket small.
-        let cluster = NetCluster::start(NetConfig {
-            lsm: LsmConfig { level_thresholds: vec![2, 1000], page_capacity: 1 },
-            batch_size: 1,
-            ..NetConfig::default()
-        });
-        let mut last = None;
-        for k in 0..70u64 {
-            last = cluster.put(k, vec![k as u8; 256 * 1024]);
-        }
-        if let Some(reply) = last {
-            let _ = reply.certified.recv_timeout(Duration::from_secs(30));
-        }
-        for k in (0..70u64).step_by(13) {
-            let read = cluster.get(k).unwrap();
-            assert_eq!(read.value, Some(vec![k as u8; 256 * 1024]), "key {k}");
-        }
-        let report = cluster.shutdown().expect("report");
-        let stats = &report.cloud_stats;
-        assert!(stats.merges_processed > 0, "merges ran over the wire");
-        assert!(
-            stats.merge_req_pages_reused > stats.merge_req_pages_full,
-            "requests mostly reference retained pages (full {}, reused {})",
-            stats.merge_req_pages_full,
-            stats.merge_req_pages_reused
-        );
-        // The last merge alone re-ships a >16 MiB target as references:
-        // its saving exceeds an entire frame cap.
-        assert!(
-            stats.merge_req_bytes_saved > MAX_FRAME_PAYLOAD as u64,
-            "request dedup saved more than one whole frame cap (saved {})",
-            stats.merge_req_bytes_saved
-        );
-        assert_eq!(stats.merge_req_nacks, 0, "warm retention: no resend nacks");
-        assert_eq!(report.edges[0].edge_stats.merge_req_resends, 0);
-        assert_eq!(report.edges[0].edge_stats.merge_deltas_unresolved, 0);
-        assert_eq!(
-            report.failed_sends, 0,
-            "no frame was ever refused: {:?}",
-            report.failed_sends_by_peer
-        );
+    fn net_with_injected_latency() {
+        s::injected_cloud_hop_latency::<TcpLink>();
     }
 
     #[test]
-    fn net_n_edges_partition_data() {
-        let cluster =
-            NetCluster::start(NetConfig { num_edges: 3, batch_size: 1, ..NetConfig::default() });
-        for p in 0..3usize {
-            for k in 0..4u64 {
-                let reply = cluster.put_on(p, k + 10 * p as u64, vec![p as u8, k as u8]).unwrap();
-                let proof = reply.certified.recv_timeout(Duration::from_secs(5)).unwrap();
-                assert_eq!(proof.digest, reply.receipt.block_digest);
-            }
-        }
-        for p in 0..3usize {
-            for k in 0..4u64 {
-                let read = cluster.get_on(p, k + 10 * p as u64).unwrap();
-                assert_eq!(read.value, Some(vec![p as u8, k as u8]));
-            }
-        }
-        assert_eq!(cluster.get_on(0, 21).unwrap().value, None);
-        let report = cluster.shutdown().expect("report");
-        assert_eq!(report.edges.len(), 3);
-        for (p, edge) in report.edges.iter().enumerate() {
-            assert_eq!(edge.edge_stats.blocks_sealed, 4, "edge {p}");
-            assert_eq!(edge.certified_len, 4, "edge {p} fully certified");
-        }
-        assert!(report.punished.is_empty());
-    }
-
-    #[test]
-    fn net_gossip_and_dispute_over_tcp() {
-        // A withholding edge is convicted purely by the client
-        // engine's dispute deadline, with the dispute and verdict
-        // crossing real sockets.
-        let cluster = NetCluster::start(NetConfig {
-            batch_size: 1,
-            faults: vec![FaultPlan::withhold_on(1)],
-            gossip_period: Some(Duration::from_millis(20)),
-            dispute_timeout: Duration::from_millis(200),
-            ..NetConfig::default()
-        });
-        let r0 = cluster.put(0, b"a".to_vec()).unwrap();
-        let _ = r0.certified.recv_timeout(Duration::from_secs(5)).unwrap();
-        let _withheld = cluster.put(1, b"b".to_vec()).unwrap();
-        // Dispute deadline (200 ms) + verdict round trip.
-        std::thread::sleep(Duration::from_millis(600));
-        let report = cluster.shutdown().expect("report");
-        assert_eq!(report.punished, vec![report.edges[0].edge], "withholder convicted over TCP");
-        assert_eq!(report.edges[0].client_metrics.disputes_filed, 1);
-        assert_eq!(report.edges[0].client_metrics.disputes_upheld, 1);
-        assert!(report.cloud_stats.gossip_rounds >= 1, "gossip flowed over TCP");
+    fn net_concurrent_writers_lose_nothing() {
+        s::concurrent_writers_lose_nothing::<TcpLink>();
     }
 
     #[test]
     fn net_pipelined_puts_complete() {
-        let cluster = NetCluster::start(NetConfig {
-            batch_size: 1,
-            pipeline_depth: 4,
-            ..NetConfig::default()
-        });
-        let mut replies = Vec::new();
-        for k in 0..12u64 {
-            replies.push(cluster.put(k, vec![k as u8]).unwrap());
-        }
-        for reply in replies {
-            let proof = reply.certified.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(proof.digest, reply.receipt.block_digest);
-        }
-        cluster.shutdown();
+        s::pipelined_writers_lose_nothing::<TcpLink>();
     }
 
     #[test]
-    fn net_backpressure_sheds_gossip_but_defers_proofs() {
-        // A slow edge (5 ms per cloud message) with a tiny inbox and a
-        // 1 ms gossip cadence: the gate must shed gossip, but every
-        // certification proof must still arrive (deferred, not lost).
-        let cluster = NetCluster::start(NetConfig {
-            batch_size: 1,
-            gossip_period: Some(Duration::from_millis(1)),
-            edge_apply_latency: Duration::from_millis(5),
-            edge_inbox_cap: 2,
-            ..NetConfig::default()
-        });
-        let mut replies = Vec::new();
-        for k in 0..6u64 {
-            replies.push(cluster.put(k, vec![k as u8]).unwrap());
-        }
-        for reply in replies {
-            let proof = reply.certified.recv_timeout(Duration::from_secs(10)).unwrap();
-            assert_eq!(proof.digest, reply.receipt.block_digest, "no proof lost to shedding");
-        }
-        // Keep the gossip flood running against the slow edge a while.
-        std::thread::sleep(Duration::from_millis(100));
-        let report = cluster.shutdown().expect("report");
-        assert!(
-            report.shed_cloud_msgs > 0,
-            "overloaded edge inbox must shed droppable traffic (shed {}, deferred {})",
-            report.shed_cloud_msgs,
-            report.deferred_cloud_msgs
-        );
-        assert_eq!(report.edges[0].certified_len, 6, "certification complete despite overload");
+    fn net_scripted_seal_times_are_deterministic() {
+        s::scripted_seal_times_are_deterministic::<TcpLink>();
+    }
+
+    #[test]
+    fn net_n_edges_partition_data() {
+        s::n_edges_partition_data::<TcpLink>();
+    }
+
+    #[test]
+    fn net_gossip_reaches_clients_via_engine_deadline() {
+        s::gossip_reaches_clients_via_engine_deadline::<TcpLink>();
+    }
+
+    #[test]
+    fn net_gossip_and_dispute_over_tcp() {
+        s::gossip_and_dispute::<TcpLink>();
     }
 
     #[test]
     fn net_admission_sheds_puts_instead_of_blocking() {
-        // Same story as the threaded runtime, with real sockets in the
-        // path: a slow edge (20 ms per cloud message), a tiny inbox,
-        // and a 1 ms gossip flood keep Phase I far past the 2 ms
-        // admission timeout, so `try_put_on` must shed (fail fast)
-        // rather than wedge the caller. A shed put is not cancelled,
-        // so every key must still become readable.
-        let cluster = NetCluster::start(NetConfig {
-            batch_size: 1,
-            gossip_period: Some(Duration::from_millis(1)),
-            edge_apply_latency: Duration::from_millis(20),
-            edge_inbox_cap: 2,
-            admission_timeout: Some(Duration::from_millis(2)),
-            ..NetConfig::default()
-        });
-        let mut shed = 0u64;
-        for k in 0..8u64 {
-            match cluster.try_put_on(0, k, vec![k as u8]) {
-                Ok(Some(_)) | Ok(None) => {}
-                Err(PutShed::AdmissionTimeout) => shed += 1,
-                Err(PutShed::Rejected) => panic!("batches must not be rejected here"),
-            }
-        }
-        assert!(shed > 0, "an overloaded edge must shed puts, not block the caller");
-        // Shed puts still commit: wait for the pipeline to drain, then
-        // read everything back.
-        for k in 0..8u64 {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                if cluster.get(k).unwrap().value == Some(vec![k as u8]) {
-                    break;
-                }
-                assert!(Instant::now() < deadline, "key {k} never committed");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        let report = cluster.shutdown().expect("report");
-        assert_eq!(report.puts_shed, shed, "every shed counted exactly once");
-        assert_eq!(report.edges[0].edge_stats.blocks_sealed, 8, "shed puts still sealed");
+        s::admission_sheds_puts_instead_of_blocking::<TcpLink>();
+    }
+
+    #[test]
+    fn net_backpressure_sheds_gossip_but_defers_proofs() {
+        s::backpressure_sheds_gossip_but_defers_proofs::<TcpLink>();
+    }
+
+    #[test]
+    fn net_merge_replies_are_delta_encoded_over_tcp() {
+        s::merge_replies_are_delta_encoded::<TcpLink>();
+    }
+
+    #[test]
+    fn net_oversized_full_request_merges_as_small_delta_over_tcp() {
+        s::oversized_full_request_merges_as_small_delta::<TcpLink>();
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot combine")]
+    fn net_seal_times_reject_merge_retry() {
+        s::seal_times_reject_merge_retry::<TcpLink>();
     }
 }

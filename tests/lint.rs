@@ -41,10 +41,13 @@ fn wire_abi_covers_every_wire_msg_tag() {
     let live = wedge_lint::current_abi(workspace_root())
         .expect("read wire sources")
         .expect("extract wire ABI");
-    // The seed protocol shipped 20 tags; the count may only grow.
-    assert!(live.tags.len() >= 20, "only {} tags extracted", live.tags.len());
+    // The seed protocol shipped 20 tags; the count of allocated tags
+    // (live plus retired) may only grow.
+    let allocated = live.tags.len() + live.retired.len();
+    assert!(allocated >= 20, "only {allocated} tags extracted");
     assert_eq!(live.magic, "WDGC");
-    let mut tags: Vec<u8> = live.tags.iter().map(|(t, _, _)| *t).collect();
+    let mut tags: Vec<u8> = live.tags.iter().chain(&live.retired).map(|(t, _, _)| *t).collect();
+    tags.sort_unstable();
     tags.dedup();
-    assert_eq!(tags.len(), live.tags.len(), "duplicate wire tags");
+    assert_eq!(tags.len(), allocated, "duplicate wire tags");
 }
